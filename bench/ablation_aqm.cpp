@@ -28,7 +28,7 @@ int main(int argc, char** argv) {
                           QueueKind::kFqCoDel}) {
         auto sc = bench::make_scenario(sys, 25.0, 7.0, cc, args.seed);
         sc.queue_kind = k;
-        cgs::core::RunnerOptions opts;
+        cgs::core::SweepOptions opts;
         opts.runs = args.runs;
         opts.threads = args.threads;
         const auto res = cgs::core::run_condition(sc, opts);

@@ -68,7 +68,7 @@ int main(int argc, char** argv) {
       sc.controller_override = [cfg] {
         return std::make_unique<cgs::stream::StadiaLikeController>(cfg);
       };
-      cgs::core::RunnerOptions opts;
+      cgs::core::SweepOptions opts;
       opts.runs = args.runs;
       opts.threads = args.threads;
       const auto res = cgs::core::run_condition(sc, opts);

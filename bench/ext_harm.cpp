@@ -18,7 +18,7 @@ struct Cell {
 
 Cell run_cell(cgs::stream::GameSystem sys, CcAlgo cc, double queue_mult,
               const bench::CommonArgs& args) {
-  cgs::core::RunnerOptions opts;
+  cgs::core::SweepOptions opts;
   opts.runs = args.runs;
   opts.threads = args.threads;
 

@@ -85,7 +85,7 @@ Result run_one(cgs::stream::GameSystem sys, const std::vector<CcAlgo>& ccas,
   r.tcp_total_mbps =
       cgs::rate_of(cgs::ByteSize(tcp_bytes), 150_sec).megabits_per_sec();
   r.game_fps = game_rx.display().fps_over(90_sec, 240_sec);
-  cgs::RunningStats rtt_ms;
+  cgs::OnlineStats rtt_ms;
   for (const auto& s : ping.samples()) {
     if (s.at >= 90_sec && s.at < 240_sec) {
       rtt_ms.add(cgs::to_seconds(s.rtt) * 1e3);

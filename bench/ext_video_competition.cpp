@@ -87,7 +87,7 @@ Result run_one(cgs::stream::GameSystem sys, cgs::tcp::CcAlgo cc,
   r.game_fps = game_rx.display().fps_over(60_sec, 240_sec);
   r.video_quality_mbps = video.mean_quality().megabits_per_sec();
   r.video_stall_s = cgs::to_seconds(video.stall_time(240_sec));
-  cgs::RunningStats rtt_ms;
+  cgs::OnlineStats rtt_ms;
   for (const auto& s : ping.samples()) {
     if (s.at >= 60_sec && s.at < 240_sec) {
       rtt_ms.add(cgs::to_seconds(s.rtt) * 1e3);

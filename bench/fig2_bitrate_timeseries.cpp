@@ -25,7 +25,7 @@ int main(int argc, char** argv) {
                   std::string(cgs::tcp::to_string(cc)).c_str());
       for (double q : {0.5, 2.0, 7.0}) {
         auto sc = bench::make_scenario(sys, 25.0, q, cc, args.seed);
-        cgs::core::RunnerOptions opts;
+        cgs::core::SweepOptions opts;
         opts.runs = args.runs;
         opts.threads = args.threads;
         const auto res = cgs::core::run_condition(sc, opts);

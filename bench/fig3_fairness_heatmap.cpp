@@ -3,7 +3,7 @@
 // capacity (rows) x queue size (columns), competing with TCP Cubic (top
 // half) and TCP BBR (bottom half).
 //
-// The full 2x3x3x3 grid runs as ONE sweep on the shared work-stealing
+// The full 2x3x3x3 grid runs as ONE sweep on the shared worker
 // pool: late stragglers in one cell overlap with the next cell's runs
 // instead of idling a per-cell fork/join pool.
 //

@@ -43,7 +43,7 @@ int main(int argc, char** argv) {
       for (double cap : {15.0, 25.0, 35.0}) {
         for (double q : {0.5, 2.0, 7.0}) {
           auto sc = bench::make_scenario(sys, cap, q, cc, args.seed);
-          cgs::core::RunnerOptions opts;
+          cgs::core::SweepOptions opts;
           opts.runs = args.runs;
           opts.threads = args.threads;
           const auto res = cgs::core::run_condition(sc, opts);

@@ -169,7 +169,7 @@ BENCHMARK(BM_TestbedSecond)->Unit(benchmark::kMillisecond);
 // -- sweep engine vs per-cell fork/join ------------------------------------
 //
 // A 6-cell x 5-seed grid of 1-second testbed runs at 4 threads.  The
-// engine runs all 30 jobs on one work-stealing pool; the baseline drives
+// engine runs all 30 jobs on one shared worker pool; the baseline drives
 // each cell through run_condition (which forks and joins a fresh pool per
 // cell, idling 3 of 4 workers on every cell's 5th run).  Acceptance:
 // engine >= 1.3x faster on multicore hardware.
@@ -208,7 +208,7 @@ BENCHMARK(BM_Sweep)->Unit(benchmark::kMillisecond)->UseRealTime();
 void BM_SweepPerCellLoop(benchmark::State& state) {
   for (auto _ : state) {
     for (const auto& cell : sweep_grid()) {
-      cgs::core::RunnerOptions opts;
+      cgs::core::SweepOptions opts;
       opts.runs = kSweepRuns;
       opts.threads = kSweepThreads;
       auto res = cgs::core::run_condition(cell.scenario, opts);

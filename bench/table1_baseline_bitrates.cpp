@@ -28,7 +28,7 @@ int main(int argc, char** argv) {
     // ~1 Gb/s: unconstrained relative to any system's maximum.
     cgs::core::Scenario sc = bench::make_scenario(sys, 1000.0, 2.0,
                                                   std::nullopt, args.seed);
-    cgs::core::RunnerOptions opts;
+    cgs::core::SweepOptions opts;
     opts.runs = args.runs;
     opts.threads = args.threads;
     const auto res = cgs::core::run_condition(sc, opts);

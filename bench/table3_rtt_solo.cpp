@@ -2,7 +2,7 @@
 // capacity x queue size x system.  Paper shape: ~16-17 ms at 0.5x queues,
 // rising to ~18-22 ms at 7x (solo systems keep queuing low).
 //
-// All 27 cells run as one sweep on the shared work-stealing pool.
+// All 27 cells run as one sweep on the shared worker pool.
 #include <cstdio>
 
 #include "bench_common.hpp"

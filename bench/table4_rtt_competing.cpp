@@ -3,7 +3,7 @@
 // 0.5x/2x/7x for 25 Mb/s); under BBR the 7x case is roughly HALVED
 // (~52-56 ms) because BBR's inflight cap (2xBDP) bounds the standing queue.
 //
-// All 54 cells run as one sweep on the shared work-stealing pool.
+// All 54 cells run as one sweep on the shared worker pool.
 #include <cstdio>
 
 #include "bench_common.hpp"

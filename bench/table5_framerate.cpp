@@ -37,7 +37,7 @@ int main(int argc, char** argv) {
       for (auto sys : cgs::core::kAllSystems) {
         for (CcAlgo cc : {CcAlgo::kCubic, CcAlgo::kBbr}) {
           auto sc = bench::make_scenario(sys, cap, q, cc, args.seed);
-          cgs::core::RunnerOptions opts;
+          cgs::core::SweepOptions opts;
           opts.runs = args.runs;
           opts.threads = args.threads;
           const auto res = cgs::core::run_condition(sc, opts);

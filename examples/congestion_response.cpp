@@ -25,7 +25,7 @@ int main(int argc, char** argv) {
   sc.capacity = cgs::Bandwidth::mbps(25.0);
   sc.queue_bdp_mult = 2.0;
 
-  cgs::core::RunnerOptions opts;
+  cgs::core::SweepOptions opts;
   opts.runs = argc > 3 ? std::atoi(argv[3]) : 5;
   opts.progress = [](int done, int total) {
     std::fprintf(stderr, "\r  run %d/%d", done, total);

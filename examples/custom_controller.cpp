@@ -85,7 +85,7 @@ int main() {
           };
           name = "halving (custom)";
       }
-      cgs::core::RunnerOptions opts;
+      cgs::core::SweepOptions opts;
       opts.runs = 3;
       const auto res = cgs::core::run_condition(sc, opts);
       char f[16], g[16], r1[16], r2[16];

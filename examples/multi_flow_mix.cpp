@@ -28,7 +28,7 @@ int main(int argc, char** argv) {
       FlowSpec::ping(),
   };
 
-  cgs::core::RunnerOptions opts;
+  cgs::core::SweepOptions opts;
   opts.runs = argc > 1 ? std::atoi(argv[1]) : 3;
   opts.progress = [](int done, int total) {
     std::fprintf(stderr, "\r  run %d/%d", done, total);

@@ -23,7 +23,7 @@ int main(int argc, char** argv) {
   p.duration = seconds(390);
   const cgs::core::Scenario sc = cgs::core::parking_lot_scenario(p);
 
-  cgs::core::RunnerOptions opts;
+  cgs::core::SweepOptions opts;
   opts.runs = argc > 1 ? std::atoi(argv[1]) : 3;
   opts.progress = [](int done, int total) {
     std::fprintf(stderr, "\r  run %d/%d", done, total);

@@ -42,7 +42,7 @@ int main(int argc, char** argv) {
               static_cast<long long>(sc.queue_bytes().bytes()),
               sc.queue_bdp_mult);
 
-  cgs::core::RunnerOptions opts;
+  cgs::core::SweepOptions opts;
   opts.runs = 3;
   const auto res = cgs::core::run_condition(sc, opts);
 

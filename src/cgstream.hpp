@@ -5,7 +5,9 @@
 //   cgs::core::Scenario sc;
 //   sc.system = cgs::stream::GameSystem::kStadia;
 //   sc.tcp_algo = cgs::tcp::CcAlgo::kBbr;
-//   auto result = cgs::core::run_condition(sc, {.runs = 15});
+//   cgs::core::SweepOptions opts;
+//   opts.runs = 15;
+//   auto result = cgs::core::run_condition(sc, opts);
 //
 // See README.md for the architecture overview and examples/ for usage.
 #pragma once

@@ -38,7 +38,7 @@ double RunTrace::mean_flow_mbps(net::FlowId id, Time from, Time to) const {
 
 double RunTrace::mean_bitrate_mbps(const std::vector<double>& series,
                                    Time from, Time to) const {
-  RunningStats s;
+  OnlineStats s;
   const std::size_t lo = bucket_of(from);
   const std::size_t hi = std::min(bucket_of(to), series.size());
   for (std::size_t i = lo; i < hi; ++i) s.add(series[i]);
@@ -47,7 +47,7 @@ double RunTrace::mean_bitrate_mbps(const std::vector<double>& series,
 
 double RunTrace::sd_bitrate_mbps(const std::vector<double>& series, Time from,
                                  Time to) const {
-  RunningStats s;
+  OnlineStats s;
   const std::size_t lo = bucket_of(from);
   const std::size_t hi = std::min(bucket_of(to), series.size());
   for (std::size_t i = lo; i < hi; ++i) s.add(series[i]);
@@ -55,7 +55,7 @@ double RunTrace::sd_bitrate_mbps(const std::vector<double>& series, Time from,
 }
 
 double RunTrace::mean_rtt_ms(Time from, Time to) const {
-  RunningStats s;
+  OnlineStats s;
   for (const auto& r : rtt) {
     if (r.at >= from && r.at < to) s.add(to_seconds(r.rtt) * 1e3);
   }
@@ -63,7 +63,7 @@ double RunTrace::mean_rtt_ms(Time from, Time to) const {
 }
 
 double RunTrace::sd_rtt_ms(Time from, Time to) const {
-  RunningStats s;
+  OnlineStats s;
   for (const auto& r : rtt) {
     if (r.at >= from && r.at < to) s.add(to_seconds(r.rtt) * 1e3);
   }

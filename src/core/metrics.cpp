@@ -16,7 +16,7 @@ struct WindowStats {
 
 WindowStats window_stats(const std::vector<double>& series, Time interval,
                          Time from, Time to) {
-  RunningStats s;
+  OnlineStats s;
   const auto lo = std::size_t(from.count() / interval.count());
   const auto hi =
       std::min(std::size_t(to.count() / interval.count()), series.size());
@@ -33,7 +33,7 @@ double first_entry_s(const std::vector<double>& series, Time interval,
   const auto hi =
       std::min(std::size_t(limit.count() / interval.count()), series.size());
   for (std::size_t i = lo; i < hi; ++i) {
-    RunningStats s;
+    OnlineStats s;
     for (int k = 0; k < smooth_n && i >= std::size_t(k); ++k) {
       s.add(series[i - std::size_t(k)]);
     }

@@ -2,11 +2,8 @@
 
 #include <sstream>
 #include <stdexcept>
-#include <string>
 #include <utility>
 #include <vector>
-
-#include "core/sweep.hpp"
 
 namespace cgs::core {
 namespace {
@@ -19,22 +16,17 @@ std::vector<SweepCell> one_cell(const Scenario& scenario) {
   return cells;
 }
 
-SweepOptions to_sweep_options(const RunnerOptions& opts) {
-  if (opts.runs <= 0) {
-    throw std::invalid_argument("RunnerOptions: runs must be > 0 (got " +
-                                std::to_string(opts.runs) + ")");
-  }
-  SweepOptions sopts;
-  sopts.runs = opts.runs;
-  sopts.threads = opts.threads;
-  sopts.progress = opts.progress;
-  return sopts;
-}
-
-[[noreturn]] void throw_failures(const char* fn, const SweepReport& report,
-                                 int n) {
+/// Throw unless every run of the one-cell sweep produced a trace.
+void require_all_runs(const char* fn, const SweepReport& report) {
+  if (report.failed() == 0 && !report.interrupted) return;
   std::ostringstream os;
-  os << fn << ": " << report.failed() << " of " << n << " runs failed:";
+  if (report.failed() == 0) {
+    os << fn << ": interrupted after " << report.finished << " of "
+       << report.total << " runs";
+    throw std::runtime_error(os.str());
+  }
+  os << fn << ": " << report.failed() << " of " << report.total
+     << " runs failed:";
   for (const SweepFailure& f : report.failures) {
     os << "\n  seed " << f.seed << ": " << f.what;
   }
@@ -47,28 +39,30 @@ SweepOptions to_sweep_options(const RunnerOptions& opts) {
 }  // namespace
 
 std::vector<RunTrace> run_many(const Scenario& scenario,
-                               const RunnerOptions& opts) {
-  const SweepOptions sopts = to_sweep_options(opts);
-  std::vector<RunTrace> traces(std::size_t(opts.runs));
-  const auto report = sweep_jobs(
-      one_cell(scenario), sopts, [&](std::size_t, int run, RunTrace&& t) {
-        traces[std::size_t(run)] = std::move(t);
-      });
-  if (report.failed() != 0) throw_failures("run_many", report, opts.runs);
+                               const SweepOptions& opts) {
+  // One cell: consume calls are serialized and arrive in seed order, and a
+  // failure or an interruption throws below, so appending yields the
+  // traces indexed by run.
+  std::vector<RunTrace> traces;
+  const auto report =
+      sweep_jobs(one_cell(scenario), opts,
+                 [&](std::size_t, int, RunTrace&& t) {
+                   traces.push_back(std::move(t));
+                 });
+  require_all_runs("run_many", report);
   return traces;
 }
 
 ConditionResult run_condition(const Scenario& scenario,
-                              const RunnerOptions& opts) {
-  const SweepOptions sopts = to_sweep_options(opts);
+                              const SweepOptions& opts) {
   // Streaming path: each trace is folded and freed as its run finishes;
   // the seed-order delivery contract makes this bit-identical to
   // summarize(scenario, run_many(scenario, opts)).
   ConditionAccumulator acc(scenario);
   const auto report =
-      sweep_jobs(one_cell(scenario), sopts,
+      sweep_jobs(one_cell(scenario), opts,
                  [&](std::size_t, int, RunTrace&& t) { acc.add(t); });
-  if (report.failed() != 0) throw_failures("run_condition", report, opts.runs);
+  require_all_runs("run_condition", report);
   return acc.finalize();
 }
 

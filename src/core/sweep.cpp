@@ -4,7 +4,6 @@
 #include <atomic>
 #include <chrono>
 #include <map>
-#include <memory>
 #include <mutex>
 #include <optional>
 #include <sstream>
@@ -19,78 +18,11 @@
 namespace cgs::core {
 namespace {
 
-/// Chase-Lev work-stealing deque of job indices (memory orderings per
-/// Le et al., "Correct and Efficient Work-Stealing for Weak Memory
-/// Models", PPoPP '13).  The flat job list is known up front and jobs
-/// never spawn jobs, so the buffer is sized once and there is no growth
-/// path; indices are never recycled, which rules out ABA on top_.
-class WorkDeque {
- public:
-  explicit WorkDeque(std::size_t capacity) {
-    std::size_t cap = 1;
-    while (cap < std::max<std::size_t>(capacity, 2)) cap <<= 1;
-    buf_ = std::make_unique<std::atomic<int>[]>(cap);
-    mask_ = std::int64_t(cap) - 1;
-  }
-
-  /// Owner only.  Only called while seeding, before any thief runs, and
-  /// never beyond capacity.
-  void push(int job) {
-    const auto b = bottom_.load(std::memory_order_relaxed);
-    buf_[std::size_t(b & mask_)].store(job, std::memory_order_relaxed);
-    std::atomic_thread_fence(std::memory_order_release);
-    bottom_.store(b + 1, std::memory_order_relaxed);
-  }
-
-  /// Owner only: take from the LIFO end.  False when empty.
-  bool pop(int& out) {
-    const auto b = bottom_.load(std::memory_order_relaxed) - 1;
-    bottom_.store(b, std::memory_order_relaxed);
-    std::atomic_thread_fence(std::memory_order_seq_cst);
-    auto t = top_.load(std::memory_order_relaxed);
-    bool got = false;
-    if (t <= b) {
-      out = buf_[std::size_t(b & mask_)].load(std::memory_order_relaxed);
-      got = true;
-      if (t == b) {
-        // Last element: race the thieves for it.
-        if (!top_.compare_exchange_strong(t, t + 1,
-                                          std::memory_order_seq_cst,
-                                          std::memory_order_relaxed)) {
-          got = false;
-        }
-        bottom_.store(b + 1, std::memory_order_relaxed);
-      }
-    } else {
-      bottom_.store(b + 1, std::memory_order_relaxed);
-    }
-    return got;
-  }
-
-  /// Any thief: take from the FIFO end.  False on empty or a lost race
-  /// (callers retry their victim scan).
-  bool steal(int& out) {
-    auto t = top_.load(std::memory_order_acquire);
-    std::atomic_thread_fence(std::memory_order_seq_cst);
-    const auto b = bottom_.load(std::memory_order_acquire);
-    if (t >= b) return false;
-    out = buf_[std::size_t(t & mask_)].load(std::memory_order_relaxed);
-    return top_.compare_exchange_strong(t, t + 1, std::memory_order_seq_cst,
-                                        std::memory_order_relaxed);
-  }
-
- private:
-  std::atomic<std::int64_t> top_{0};
-  std::atomic<std::int64_t> bottom_{0};
-  std::unique_ptr<std::atomic<int>[]> buf_;
-  std::int64_t mask_ = 0;
-};
-
 /// Per-cell delivery state: completions park here until every lower seed
 /// has drained, keeping consume() calls in seed order.  A failed run parks
-/// nullopt so the order still advances past it.  The buffer stays
-/// O(threads) in practice: owners walk their slice in increasing job
-/// order, so only stolen tail jobs arrive early.
+/// nullopt so the order still advances past it.  Jobs are claimed in
+/// increasing order, so a run parks only when a lower seed of its cell is
+/// still executing on another worker.
 struct CellState {
   std::mutex mu;
   int next_run = 0;
@@ -186,10 +118,10 @@ SweepReport sweep_jobs(
   std::mutex progress_mu;
   int reported = 0;  // guarded by progress_mu: keeps calls strictly 1..total
 
-  // Snapshot machinery: per-cell delivery counts feed cells_finished, and
-  // the failure-side counters are read under failures_mu so a snapshot is
-  // one consistent cut of the sweep, not a smeared mix of counters.
-  auto cell_delivered = std::make_unique<std::atomic<int>[]>(cells.size());
+  // Snapshot machinery: cells_finished counts cells whose last seed has
+  // been delivered, and the failure-side counters are read under
+  // failures_mu so a snapshot is one consistent cut of the sweep, not a
+  // smeared mix of counters.
   std::atomic<std::size_t> cells_finished{0};
   using SnapClock = std::chrono::steady_clock;
   SnapClock::time_point last_snapshot{};  // guarded by progress_mu
@@ -276,12 +208,10 @@ SweepReport sweep_jobs(
           consume(cell, st.next_run, std::move(*it->second));
         }
         st.pending.erase(it);  // the trace dies here — nothing accumulates
-        ++st.next_run;
+        if (++st.next_run == runs) {
+          cells_finished.fetch_add(1, std::memory_order_acq_rel);
+        }
       }
-    }
-    if (cell_delivered[cell].fetch_add(1, std::memory_order_acq_rel) + 1 ==
-        runs) {
-      cells_finished.fetch_add(1, std::memory_order_acq_rel);
     }
     report_one();
   };
@@ -416,62 +346,36 @@ SweepReport sweep_jobs(
     deliver(job, std::move(trace));
   };
 
-  // One deque per worker, seeded with a contiguous slice of the flat
-  // cell-major job list (minus any preloaded slots).  Slices are pushed in
-  // reverse so the owner's LIFO pop walks its seeds in increasing order
-  // (keeping each cell's reorder buffer small) while thieves bite the far
-  // end of a straggler's slice.
-  std::vector<std::unique_ptr<WorkDeque>> deques;
-  deques.reserve(std::size_t(threads));
-  for (int w = 0; w < threads; ++w) {
-    const int lo = int(std::int64_t(total) * w / threads);
-    const int hi = int(std::int64_t(total) * (w + 1) / threads);
-    auto dq = std::make_unique<WorkDeque>(std::size_t(hi - lo));
-    for (int job = hi - 1; job >= lo; --job) {
-      if (!is_preloaded[std::size_t(job)]) dq->push(job);
-    }
-    deques.push_back(std::move(dq));
+  // One shared cursor over the flat cell-major list of jobs still to run:
+  // every job lasts milliseconds to seconds and never spawns another, so
+  // handing out indices in order is all the scheduling the grid needs, and
+  // claiming seeds in increasing order keeps each cell's reorder buffer
+  // short.  The calling thread works as worker 0.
+  std::vector<int> jobs;
+  jobs.reserve(std::size_t(remaining_jobs));
+  for (int job = 0; job < total; ++job) {
+    if (!is_preloaded[std::size_t(job)]) jobs.push_back(job);
   }
+  std::atomic<std::size_t> cursor{0};
 
-  auto worker = [&](int w) {
-    WorkDeque& self = *deques[std::size_t(w)];
+  auto worker = [&] {
     // One arena per worker, reused across every job it executes: steady-
     // state job turnover stops touching the allocator for slab storage.
     util::Arena arena;
-    int job = -1;
-    for (;;) {
-      // Graceful drain: finish nothing new once the stop flag flips; jobs
-      // already executing elsewhere complete and get journaled.
-      if (stopped()) return;
-      if (self.pop(job)) {
-        execute(job, arena);
-        continue;
-      }
-      bool stolen = false;
-      for (int k = 1; k < threads && !stolen; ++k) {
-        stolen = deques[std::size_t((w + k) % threads)]->steal(job);
-      }
-      if (stolen) {
-        execute(job, arena);
-        continue;
-      }
-      // Every deque looked empty: remaining jobs (if any) are executing on
-      // other workers right now — no new work can appear.
-      if (done.load(std::memory_order_acquire) >= total) return;
-      std::this_thread::yield();
+    // Graceful drain: claim nothing new once the stop flag flips; jobs
+    // already executing elsewhere complete and get journaled.
+    while (!stopped()) {
+      const std::size_t i = cursor.fetch_add(1);
+      if (i >= jobs.size()) return;
+      execute(jobs[i], arena);
     }
   };
 
-  if (remaining_jobs > 0 && !stopped()) {
-    if (threads == 1) {
-      worker(0);
-    } else {
-      std::vector<std::thread> pool;
-      pool.reserve(std::size_t(threads));
-      for (int w = 0; w < threads; ++w) pool.emplace_back(worker, w);
-      for (auto& t : pool) t.join();
-    }
-  }
+  std::vector<std::thread> pool;
+  pool.reserve(std::size_t(threads - 1));
+  for (int w = 1; w < threads && !stopped(); ++w) pool.emplace_back(worker);
+  worker();
+  for (auto& t : pool) t.join();
 
   report.finished = done.load(std::memory_order_acquire);
   report.interrupted = report.finished < total;

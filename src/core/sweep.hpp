@@ -1,12 +1,11 @@
-// Sweep engine: one persistent work-stealing worker pool over a whole
-// parameter grid.
+// Sweep engine: one worker pool over a whole parameter grid.
 //
 // The paper's artifacts (Fig 2-4, Tables 1/3-5) are grids of
 // (system x CC algo x queue size x rate limit) cells, each averaged over
 // many seeded runs.  A SweepSpec cross-products axes into a flat list of
-// (cell, seed) jobs executed by one chase-lev-style work-stealing pool
-// shared across all cells — no per-cell fork/join barrier, so late
-// stragglers in one cell overlap with the next cell's runs.  Each finished
+// (cell, seed) jobs that the pool's workers claim in order through one
+// shared cursor — no per-cell fork/join barrier, so late stragglers in one
+// cell overlap with the next cell's runs.  Each finished
 // RunTrace is folded into its cell's streaming ConditionAccumulator and
 // freed immediately, bounding peak memory at O(cells + in-flight runs).
 //
@@ -15,7 +14,7 @@
 // run_many has always used — and per-cell delivery is serialized in seed
 // order (an internal reorder buffer parks out-of-order completions), so
 // the streaming ConditionResult is bit-identical to batch summarize() over
-// the same traces regardless of thread count or steal schedule.
+// the same traces regardless of thread count or which worker ran which job.
 //
 // Crash safety: run_sweep can journal every finished (cell, seed) job to
 // an append-only file (SweepOptions::journal_path, core/journal.hpp) and,
@@ -259,10 +258,11 @@ struct PreloadedRun {
 };
 
 /// Low-level engine: run every (cell, seed) job of the grid on one shared
-/// work-stealing pool.  `consume(cell_index, run_index, trace)` is invoked
-/// once per successful run from worker threads; calls for any one cell are
-/// serialized and arrive in seed order (failed runs produce no call but
-/// still advance the order), interleaved arbitrarily across cells.
+/// worker pool (the calling thread plus threads-1 spawned ones).
+/// `consume(cell_index, run_index, trace)` is invoked once per successful
+/// run from worker threads; calls for any one cell are serialized and
+/// arrive in seed order (failed runs produce no call but still advance the
+/// order), interleaved arbitrarily across cells.
 /// `preloaded` jobs are delivered first (on the calling thread, in the
 /// order given) and their slots never execute.  Every remaining job
 /// executes even when others fail — unless opts.stop flips, which drains

@@ -23,6 +23,12 @@ PacketPtr CodelQueue::pop_head() {
   return pkt;
 }
 
+void CodelQueue::drop_head(Time now) {
+  if (PacketPtr pkt = pop_head()) {
+    report_drop(*pkt, DropReason::kOverflow, now);
+  }
+}
+
 Time CodelQueue::control_law(Time t) const {
   return t + Time(std::int64_t(double(params_.interval.count()) /
                                std::sqrt(double(count_))));
@@ -93,14 +99,14 @@ FqCodelQueue::SubQueue& FqCodelQueue::sub(FlowId flow) {
   auto it = flows_.find(flow);
   if (it == flows_.end()) {
     it = flows_.emplace(flow, SubQueue(params_)).first;
-    // Forward sub-queue drops (from CoDel) to our handler and keep the
-    // aggregate byte/packet accounting consistent.
+    // Forward sub-queue drops (CoDel's and the byte limit's) to our handler
+    // and keep the aggregate byte/packet accounting consistent.  A
+    // sub-queue never overflows on its own: the aggregate limit below
+    // keeps it under capacity.
     it->second.codel.set_drop_handler(
         [this](const Packet& p, DropReason r, Time t) {
-          if (!in_enqueue_) {
-            bytes_ -= p.size();
-            --count_;
-          }
+          bytes_ -= p.size();
+          --count_;
           report_drop(p, r, t);
         });
   }
@@ -111,11 +117,26 @@ void FqCodelQueue::enqueue(PacketPtr pkt, Time now) {
   const FlowId flow = pkt->flow;
   SubQueue& s = sub(flow);
   const ByteSize sz = pkt->size();
-  const std::size_t before = s.codel.packet_count();
-  in_enqueue_ = true;
+  // Byte limit on the aggregate (RFC 8290 §4.1.2): until the packet fits,
+  // drop from the head of the flow with the largest backlog, counting this
+  // packet in its own flow's.  When that head is this packet itself (its
+  // flow holds nothing else), it is the one dropped.
+  while (bytes_ + sz > params_.capacity) {
+    SubQueue* fattest = &s;
+    ByteSize most = s.codel.byte_length() + sz;
+    for (auto& [id, q] : flows_) {
+      if (q.codel.byte_length() > most) {
+        most = q.codel.byte_length();
+        fattest = &q;
+      }
+    }
+    if (fattest == &s && s.codel.packet_count() == 0) {
+      report_drop(*pkt, DropReason::kOverflow, now);
+      return;
+    }
+    fattest->codel.drop_head(now);
+  }
   s.codel.enqueue(std::move(pkt), now);
-  in_enqueue_ = false;
-  if (s.codel.packet_count() == before) return;  // overflowed inside CoDel
   bytes_ += sz;
   ++count_;
   if (!s.active) {

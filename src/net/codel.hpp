@@ -25,6 +25,9 @@ class CodelQueue final : public Queue {
 
   void enqueue(PacketPtr pkt, Time now) override;
   PacketPtr dequeue(Time now) override;
+  /// Drop the head packet as an overflow (FQ-CoDel's aggregate byte
+  /// limit).  No-op when empty.
+  void drop_head(Time now);
 
   [[nodiscard]] ByteSize byte_length() const override { return bytes_; }
   [[nodiscard]] std::size_t packet_count() const override { return q_.size(); }
@@ -51,7 +54,9 @@ class CodelQueue final : public Queue {
 /// Flow-queued CoDel: packets hash to per-flow sub-queues, each running the
 /// CoDel state machine, serviced by deficit round robin with new-flow
 /// priority (RFC 8290, simplified: no hash collisions since FlowIds are
-/// unique; quantum = one MTU).
+/// unique; quantum = one MTU).  `capacity` bounds the bytes held by all
+/// sub-queues together; on overflow the flow with the largest backlog
+/// loses its head packets.
 class FqCodelQueue final : public Queue {
  public:
   explicit FqCodelQueue(CodelParams params, ByteSize quantum = ByteSize(1514))
@@ -81,10 +86,6 @@ class FqCodelQueue final : public Queue {
   util::RingBuffer<FlowId> old_flows_;
   ByteSize bytes_{0};
   std::size_t count_ = 0;
-  // True while a sub-queue enqueue runs: an overflow drop there concerns a
-  // packet not yet counted in the aggregate, so the drop handler must not
-  // decrement the aggregate counters.
-  bool in_enqueue_ = false;
 };
 
 }  // namespace cgs::net

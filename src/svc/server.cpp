@@ -168,10 +168,12 @@ void Server::run() {
       unsigned char drainbuf[64];
       while (::read(wake_fds_[0], drainbuf, sizeof drainbuf) > 0) {}
     }
+    // Sessions accepted below have no pollfd yet: walk only those polled.
+    const std::size_t polled = sessions_.size();
     if (!draining_ && (pfds[first_client - 1].revents & POLLIN) != 0) {
       accept_clients();
     }
-    for (std::size_t i = 0; i < sessions_.size(); ++i) {
+    for (std::size_t i = 0; i < polled; ++i) {
       const short re = pfds[first_client + i].revents;
       Session& s = *sessions_[i];
       if ((re & POLLOUT) != 0) handle_writable(s);
@@ -335,7 +337,9 @@ void Server::dispatch(Session& s, const Frame& f) {
 }
 
 void Server::handle_submit(Session& s, const Frame& f) {
-  if (draining_) {
+  // The flag, not only draining_: a drain requested while poll slept is
+  // begun at the top of the next iteration, after this one's reads.
+  if (draining_ || drain_flag_.load(std::memory_order_acquire)) {
     send_error(s, core::ProtoError::kDraining,
                "daemon is draining; resubmit to the next instance");
     return;

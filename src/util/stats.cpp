@@ -68,19 +68,19 @@ double t_critical_95(std::size_t n) {
   return 1.960;
 }
 
-double ci95_halfwidth(const RunningStats& s) {
+double ci95_halfwidth(const OnlineStats& s) {
   if (s.count() < 2) return 0.0;
   return t_critical_95(s.count()) * s.stddev() / std::sqrt(double(s.count()));
 }
 
 double mean_of(std::span<const double> xs) {
-  RunningStats s;
+  OnlineStats s;
   for (double x : xs) s.add(x);
   return s.mean();
 }
 
 double stddev_of(std::span<const double> xs) {
-  RunningStats s;
+  OnlineStats s;
   for (double x : xs) s.add(x);
   return s.stddev();
 }

@@ -33,9 +33,6 @@ class OnlineStats {
   double m2_ = 0.0;
 };
 
-/// Historical name; OnlineStats is the same accumulator.
-using RunningStats = OnlineStats;
-
 /// Element-wise Welford over a stream of series, one add() per run: the
 /// streaming counterpart of core::aggregate_series.  Ragged inputs truncate
 /// to the shortest series seen so far (the batch min-length rule); each

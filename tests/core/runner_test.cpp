@@ -24,7 +24,7 @@ Scenario quick_scenario() {
 }
 
 TEST(Runner, RejectsNonPositiveRuns) {
-  RunnerOptions opts;
+  SweepOptions opts;
   opts.runs = 0;
   try {
     (void)run_many(quick_scenario(), opts);
@@ -38,7 +38,7 @@ TEST(Runner, RejectsNonPositiveRuns) {
 TEST(Runner, ValidatesScenarioBeforeSpawningWorkers) {
   Scenario sc = quick_scenario();
   sc.capacity = Bandwidth(0);
-  RunnerOptions opts;
+  SweepOptions opts;
   opts.runs = 2;
   EXPECT_THROW((void)run_many(sc, opts), std::invalid_argument);
 }
@@ -47,7 +47,7 @@ TEST(Runner, ReportsEveryFailingSeed) {
   Scenario sc = quick_scenario();
   // A watchdog budget this small guarantees every run aborts immediately.
   sc.watchdog_event_budget = 10;
-  RunnerOptions opts;
+  SweepOptions opts;
   opts.runs = 3;
   opts.threads = 2;
   try {
@@ -74,7 +74,7 @@ TEST(Runner, ProgressCountsFailedRuns) {
   // left the bar stuck short of total.  Completed = success OR failure.
   Scenario sc = quick_scenario();
   sc.watchdog_event_budget = 10;  // every run aborts
-  RunnerOptions opts;
+  SweepOptions opts;
   opts.runs = 3;
   opts.threads = 2;
   std::mutex mu;
@@ -92,7 +92,7 @@ TEST(Runner, ProgressCountsFailedRuns) {
 }
 
 TEST(Runner, ProgressCallbackThrowDoesNotAbortRuns) {
-  RunnerOptions opts;
+  SweepOptions opts;
   opts.runs = 2;
   opts.threads = 2;
   std::atomic<int> calls{0};
@@ -108,10 +108,10 @@ TEST(Runner, ProgressCallbackThrowDoesNotAbortRuns) {
 
 TEST(Runner, ParallelTracesMatchSerial) {
   const Scenario sc = quick_scenario();
-  RunnerOptions serial;
+  SweepOptions serial;
   serial.runs = 3;
   serial.threads = 1;
-  RunnerOptions parallel;
+  SweepOptions parallel;
   parallel.runs = 3;
   parallel.threads = 3;
   const auto a = run_many(sc, serial);

@@ -4,6 +4,7 @@
 
 #include <atomic>
 #include <mutex>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -98,19 +99,19 @@ TEST(Sweep, StreamingMatchesBatchSummarize) {
   ASSERT_EQ(sweep.results.size(), 2u);
 
   for (std::size_t c = 0; c < cells.size(); ++c) {
-    RunnerOptions ropts;
-    ropts.runs = 4;
-    ropts.threads = 1;
-    const auto traces = run_many(cells[c].scenario, ropts);
+    SweepOptions serial;
+    serial.runs = 4;
+    serial.threads = 1;
+    const auto traces = run_many(cells[c].scenario, serial);
     const auto batch = summarize(cells[c].scenario, traces);
     expect_results_equal(sweep.results[c], batch);
   }
 }
 
 TEST(Sweep, AccumulatorMatchesSummarizeIncrementally) {
-  RunnerOptions ropts;
-  ropts.runs = 3;
-  const auto traces = run_many(quick_scenario(), ropts);
+  SweepOptions opts;
+  opts.runs = 3;
+  const auto traces = run_many(quick_scenario(), opts);
   ConditionAccumulator acc(quick_scenario());
   for (const auto& t : traces) acc.add(t);
   EXPECT_EQ(acc.runs(), 3);
@@ -383,6 +384,100 @@ TEST(Sweep, PreloadedRunsDeliverInSeedOrderWithoutReExecution) {
                                 [](std::size_t, int, RunTrace&&) {},
                                 {pre[0], pre[0]}),
                std::invalid_argument);
+}
+
+TEST(Sweep, SnapshotCountsAreConsistent) {
+  // Preloaded slots, one failing cell and a multi-threaded pool: every
+  // snapshot is a monotone cut of the sweep, and the one final snapshot
+  // agrees with the report.
+  Scenario sick = quick_scenario(1100);
+  sick.watchdog_event_budget = 10;
+  const std::vector<SweepCell> cells = {{"a", quick_scenario(1000)},
+                                        {"sick", sick},
+                                        {"b", quick_scenario(1200)}};
+  constexpr int kRuns = 3;
+  std::vector<PreloadedRun> pre;
+  for (int i = 0; i < 2; ++i) {
+    Scenario serial = cells[2].scenario;
+    serial.seed += std::uint64_t(i);
+    Testbed bed(serial);
+    PreloadedRun p;
+    p.cell = 2;
+    p.run = i;
+    p.trace = bed.run();
+    pre.push_back(std::move(p));
+  }
+
+  for (const int threads : {1, 4}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    std::mutex mu;
+    std::vector<ProgressSnapshot> snaps;
+    SweepOptions opts;
+    opts.runs = kRuns;
+    opts.threads = threads;
+    opts.snapshot_interval_ms = 0;
+    opts.on_snapshot = [&](const ProgressSnapshot& s) {
+      std::lock_guard lk(mu);
+      snaps.push_back(s);
+    };
+    const SweepReport report = sweep_jobs(
+        cells, opts, [](std::size_t, int, RunTrace&&) {}, pre);
+    ASSERT_GE(snaps.size(), 2u);
+    for (std::size_t i = 0; i < snaps.size(); ++i) {
+      EXPECT_EQ(snaps[i].total, 3 * kRuns);
+      EXPECT_EQ(snaps[i].cells, 3u);
+      EXPECT_EQ(snaps[i].final, i + 1 == snaps.size()) << "snapshot " << i;
+      if (i > 0) {
+        EXPECT_GE(snaps[i].finished, snaps[i - 1].finished) << i;
+        EXPECT_GE(snaps[i].cells_finished, snaps[i - 1].cells_finished) << i;
+      }
+    }
+    const ProgressSnapshot& last = snaps.back();
+    EXPECT_EQ(last.finished, report.total);
+    EXPECT_EQ(last.cells_finished, 3u);
+    EXPECT_EQ(last.failed, int(report.failed()));
+    EXPECT_EQ(last.failed, kRuns);
+    EXPECT_EQ(last.skipped, report.skipped);
+    EXPECT_EQ(last.skipped, 2);
+    EXPECT_EQ(last.succeeded, report.succeeded);
+  }
+
+  // Stopped part-way: the final snapshot counts only the cells whose every
+  // seed was delivered, not those with runs parked behind a missing seed.
+  const std::vector<SweepCell> healthy = {{"a", quick_scenario(1000)},
+                                          {"b", quick_scenario(1200)},
+                                          {"c", quick_scenario(1300)}};
+  for (const int threads : {1, 4}) {
+    SCOPED_TRACE("stopped, threads=" + std::to_string(threads));
+    std::atomic<bool> stop{false};
+    std::mutex mu;
+    std::vector<int> consumed(healthy.size(), 0);
+    std::optional<ProgressSnapshot> final_snap;
+    SweepOptions opts;
+    opts.runs = kRuns;
+    opts.threads = threads;
+    opts.stop = &stop;
+    opts.progress = [&](int done, int) {
+      if (done >= kRuns + 1) stop.store(true);
+    };
+    opts.on_snapshot = [&](const ProgressSnapshot& s) {
+      if (s.final) final_snap = s;
+    };
+    const SweepReport report =
+        sweep_jobs(healthy, opts, [&](std::size_t cell, int, RunTrace&&) {
+          std::lock_guard lk(mu);
+          ++consumed[cell];
+        });
+    ASSERT_TRUE(report.interrupted);
+    ASSERT_TRUE(final_snap.has_value());
+    std::size_t complete = 0;
+    for (const int n : consumed) complete += n == kRuns ? 1 : 0;
+    EXPECT_GE(complete, 1u);
+    EXPECT_LT(complete, healthy.size());
+    EXPECT_EQ(final_snap->cells_finished, complete);
+    EXPECT_EQ(final_snap->finished, report.finished);
+    EXPECT_LT(final_snap->finished, final_snap->total);
+  }
 }
 
 }  // namespace

@@ -107,7 +107,7 @@ TEST(Testbed, TraceWindowHelpers) {
 
 TEST(Runner, SeedsProduceDistinctButAggregableRuns) {
   Scenario sc = quick_scenario();
-  RunnerOptions opts;
+  SweepOptions opts;
   opts.runs = 3;
   opts.threads = 3;
   const auto traces = run_many(sc, opts);
@@ -122,10 +122,10 @@ TEST(Runner, SeedsProduceDistinctButAggregableRuns) {
 
 TEST(Runner, ParallelEqualsSequential) {
   Scenario sc = quick_scenario();
-  RunnerOptions seq;
+  SweepOptions seq;
   seq.runs = 2;
   seq.threads = 1;
-  RunnerOptions par;
+  SweepOptions par;
   par.runs = 2;
   par.threads = 2;
   const auto a = run_many(sc, seq);
@@ -142,7 +142,7 @@ TEST(Runner, ProgressCallbackFires) {
   sc.duration = 10_sec;
   sc.tcp_start = 3_sec;
   sc.tcp_stop = 6_sec;
-  RunnerOptions opts;
+  SweepOptions opts;
   opts.runs = 2;
   opts.threads = 1;
   int calls = 0, last_done = 0;

@@ -445,7 +445,7 @@ TEST(Fleet, SweepAggregationCarriesFleetDigests) {
   // run_condition's streaming accumulator must surface the per-run fleet
   // digests as a FleetSummary.
   const Scenario sc = fleet_scenario(21);
-  RunnerOptions opts;
+  SweepOptions opts;
   opts.runs = 2;
   opts.threads = 1;
   const ConditionResult res = run_condition(sc, opts);

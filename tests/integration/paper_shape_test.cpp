@@ -24,7 +24,7 @@ ConditionResult run_cell(GameSystem sys, std::optional<CcAlgo> cc,
   sc.tcp_start = 100_sec;
   sc.tcp_stop = 220_sec;
   sc.seed = 7;
-  RunnerOptions opts;
+  SweepOptions opts;
   opts.runs = runs;
   return run_condition(sc, opts);
 }

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 namespace cgs::net {
 namespace {
 
@@ -97,6 +99,60 @@ TEST(FqCodelQueue, AggregateAccounting) {
   EXPECT_EQ(q.packet_count(), 0u);
   EXPECT_EQ(q.byte_length().bytes(), 0);
   EXPECT_EQ(q.dequeue(1_ms), nullptr);
+}
+
+TEST(FqCodelQueue, ByteLimitBoundsTheAggregate) {
+  // Three flows overload a small queue with mixed packet sizes while the
+  // link drains it slowly: occupancy never exceeds capacity, and every
+  // packet is either still queued, dequeued or dropped exactly once.
+  PacketFactory f;
+  CodelParams p;
+  p.capacity = ByteSize(8000);
+  FqCodelQueue q(p);
+  std::size_t dropped = 0;
+  q.set_drop_handler([&](const Packet&, DropReason, Time) { ++dropped; });
+  const std::int32_t sizes[] = {1500, 200, 900};
+  std::size_t arrived = 0, dequeued = 0;
+  for (int i = 0; i < 300; ++i) {
+    const auto flow = FlowId(1 + i % 3);
+    q.enqueue(make_pkt(f, sizes[i % 3], flow), 1_ms * i);
+    ++arrived;
+    EXPECT_LE(q.byte_length(), p.capacity) << "after arrival " << i;
+    if (i % 4 == 0 && q.dequeue(1_ms * i)) ++dequeued;
+  }
+  EXPECT_GT(dropped, 0u);
+  EXPECT_EQ(arrived, dequeued + dropped + q.packet_count());
+}
+
+TEST(FqCodelQueue, OverflowDropsFromTheFattestFlow) {
+  PacketFactory f;
+  CodelParams p;
+  p.capacity = ByteSize(10'000);
+  FqCodelQueue q(p);
+  std::vector<FlowId> victims;
+  q.set_drop_handler(
+      [&](const Packet& pkt, DropReason r, Time) {
+        EXPECT_EQ(r, DropReason::kOverflow);
+        victims.push_back(pkt.flow);
+      });
+  for (int i = 0; i < 8; ++i) q.enqueue(make_pkt(f, 1000, 1), kTimeZero);
+  for (int i = 0; i < 2; ++i) q.enqueue(make_pkt(f, 1000, 2), kTimeZero);
+  ASSERT_EQ(q.byte_length(), p.capacity);
+
+  // Flow 2's arrival overflows the aggregate: flow 1 holds the most bytes,
+  // so flow 1's head goes and flow 2's packet is admitted.
+  q.enqueue(make_pkt(f, 1000, 2), kTimeZero);
+  ASSERT_EQ(victims.size(), 1u);
+  EXPECT_EQ(victims[0], FlowId(1));
+  EXPECT_EQ(q.packet_count(), 10u);
+  EXPECT_EQ(q.byte_length(), p.capacity);
+
+  // A packet of a new, empty flow is the victim only when its own flow
+  // would be the fattest, i.e. when it alone exceeds every other backlog.
+  q.enqueue(make_pkt(f, 9500, 3), kTimeZero);
+  ASSERT_EQ(victims.size(), 2u);
+  EXPECT_EQ(victims[1], FlowId(3));
+  EXPECT_EQ(q.packet_count(), 10u);
 }
 
 }  // namespace

@@ -8,8 +8,8 @@
 namespace cgs {
 namespace {
 
-TEST(RunningStats, MeanAndVariance) {
-  RunningStats s;
+TEST(OnlineStats, MeanAndVariance) {
+  OnlineStats s;
   for (double x : {2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0}) s.add(x);
   EXPECT_EQ(s.count(), 8u);
   EXPECT_DOUBLE_EQ(s.mean(), 5.0);
@@ -17,8 +17,8 @@ TEST(RunningStats, MeanAndVariance) {
   EXPECT_NEAR(s.stddev(), std::sqrt(32.0 / 7.0), 1e-12);
 }
 
-TEST(RunningStats, EmptyAndSingle) {
-  RunningStats s;
+TEST(OnlineStats, EmptyAndSingle) {
+  OnlineStats s;
   EXPECT_DOUBLE_EQ(s.mean(), 0.0);
   EXPECT_DOUBLE_EQ(s.variance(), 0.0);
   s.add(3.5);
@@ -26,8 +26,8 @@ TEST(RunningStats, EmptyAndSingle) {
   EXPECT_DOUBLE_EQ(s.variance(), 0.0);
 }
 
-TEST(RunningStats, Reset) {
-  RunningStats s;
+TEST(OnlineStats, Reset) {
+  OnlineStats s;
   s.add(1.0);
   s.add(2.0);
   s.reset();
@@ -98,12 +98,12 @@ TEST(TCritical, KnownValues) {
 }
 
 TEST(Ci95, HalfWidth) {
-  RunningStats s;
+  OnlineStats s;
   // 15 samples, sd = 1 -> hw = 2.145 / sqrt(15).
   for (int i = 0; i < 15; ++i) s.add(i % 2 == 0 ? 1.0 : -1.0);
   const double hw = ci95_halfwidth(s);
   EXPECT_NEAR(hw, 2.145 * s.stddev() / std::sqrt(15.0), 1e-12);
-  RunningStats one;
+  OnlineStats one;
   one.add(5.0);
   EXPECT_DOUBLE_EQ(ci95_halfwidth(one), 0.0);
 }

@@ -1,4 +1,4 @@
-// sweep — run a named paper grid on the work-stealing sweep engine and
+// sweep — run a named paper grid on the shared-pool sweep engine and
 // write the per-cell CSV.
 //
 //   sweep --grid=fig3    # 2 CC x 3 systems x 3 capacities x 3 queues (54)
@@ -149,10 +149,10 @@ bool close(double a, double b) {
 /// Compare the streaming sweep result against the batch path for one cell.
 bool verify_cell(const SweepCell& cell, const cgs::core::ConditionResult& got,
                  int runs) {
-  cgs::core::RunnerOptions ropts;
-  ropts.runs = runs;
-  ropts.threads = 1;
-  const auto traces = cgs::core::run_many(cell.scenario, ropts);
+  cgs::core::SweepOptions opts;
+  opts.runs = runs;
+  opts.threads = 1;
+  const auto traces = cgs::core::run_many(cell.scenario, opts);
   const auto want = cgs::core::summarize(cell.scenario, traces);
 
   bool ok = got.runs == want.runs &&

@@ -2,7 +2,7 @@
 //
 // Runs the svc::Server on a loopback TCP port: submissions (named grids or
 // inline scenarios) are validated at admission, journaled always, executed
-// one at a time on the work-stealing pool, and streamed as throttled
+// one at a time on the sweep engine's pool, and streamed as throttled
 // progress snapshots to any number of subscribers.  SIGTERM/SIGINT drain
 // gracefully (in-flight job interrupted-and-journaled, queue persisted);
 // kill -9 loses nothing durable — the next incarnation rescans its state
