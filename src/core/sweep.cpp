@@ -174,17 +174,17 @@ SweepReport sweep_jobs(
     }
   };
 
-  // Record one final failure, respecting the per-cell message cap.
+  // Record one final failure, respecting the per-cell message cap.  The
+  // observer runs under the same lock, which serializes its calls across
+  // workers as SweepOptions::on_failure promises.
   auto record_failure = [&](SweepFailure&& f) {
-    {
-      std::lock_guard lk(failures_mu);
-      std::size_t& count = report.cell_failures[f.cell];
-      ++count;
-      if (count <= opts.max_failures_per_cell) {
-        report.failures.push_back(f);
-      } else {
-        ++report.failures_suppressed;
-      }
+    std::lock_guard lk(failures_mu);
+    std::size_t& count = report.cell_failures[f.cell];
+    ++count;
+    if (count <= opts.max_failures_per_cell) {
+      report.failures.push_back(f);
+    } else {
+      ++report.failures_suppressed;
     }
     if (opts.on_failure) {
       try {

@@ -12,7 +12,7 @@ BottleneckRouter::BottleneckRouter(sim::Simulator& sim, Bandwidth capacity,
                                    std::move(queue), &demux_)) {}
 
 BottleneckRouter::BottleneckRouter(TopologyGraph& graph) : graph_(&graph) {
-  graph.bottleneck();  // throws std::logic_error on multi-link graphs
+  (void)graph.bottleneck();  // throws std::logic_error on multi-link graphs
 }
 
 PacketSink& BottleneckRouter::downstream_in() {

@@ -21,12 +21,16 @@
 namespace cgs::svc {
 namespace {
 
-// State-file layout: the 8-byte tag, then u32 version | u64 next_id
-// | u32 job_count | per job (u64 id | u8 state | u32 spec_len | spec
-// | u32 err_len | err) | u32 crc(everything before).  Same native-endian,
-// machine-local conventions as the run journal.
+// State-log layout: the 8-byte tag | u32 version, then records, each
+// u32 body_len | body | u32 crc(body_len + body), where body = u8 kind
+// | u64 id | u8 state | u32 err_len | err, and a kJobRecord body goes on
+// with u32 spec_len | spec.  Same native-endian, machine-local conventions
+// as the run journal.
 constexpr char kStateTag[8] = {'C', 'G', 'S', 'V', 'S', 'T', '0', '1'};
-constexpr std::uint32_t kStateVersion = 1;
+constexpr std::uint32_t kStateVersion = 2;
+constexpr std::size_t kStateHeader = sizeof kStateTag + 4;
+constexpr std::uint8_t kJobRecord = 1;    // a whole job: submit, compaction
+constexpr std::uint8_t kStateRecord = 2;  // a later transition
 
 void put_u32(std::vector<unsigned char>& out, std::uint32_t v) {
   const std::size_t off = out.size();
@@ -45,8 +49,8 @@ void put_str(std::vector<unsigned char>& out, const std::string& s) {
   out.insert(out.end(), s.begin(), s.end());
 }
 
-/// Bounds-checked cursor over the state file bytes; any overrun flags
-/// `bad` and reads return zero/empty (the caller discards the whole file).
+/// Bounds-checked cursor over the state log bytes; any overrun flags `bad`
+/// and reads return zero/empty (replay stops at that record).
 struct Cursor {
   const unsigned char* p;
   std::size_t left;
@@ -96,6 +100,21 @@ struct Cursor {
     return s;
   }
 };
+
+/// Append one framed record for `job`; `with_spec` makes it a kJobRecord.
+void put_record(std::vector<unsigned char>& out, const Job& job,
+                bool with_spec) {
+  const std::size_t start = out.size();
+  put_u32(out, 0);  // body_len, patched below
+  out.push_back(with_spec ? kJobRecord : kStateRecord);
+  put_u64(out, job.id);
+  out.push_back(std::uint8_t(job.state));
+  put_str(out, job.error);
+  if (with_spec) put_str(out, encode_kv(job.spec));
+  const auto body_len = std::uint32_t(out.size() - start - 4);
+  std::memcpy(out.data() + start, &body_len, sizeof body_len);
+  put_u32(out, util::crc32(out.data() + start, out.size() - start));
+}
 
 JobState job_state_from_byte(std::uint8_t b) {
   switch (b) {
@@ -223,6 +242,10 @@ std::vector<core::SweepCell> inline_cells_from_spec(const KvMap& spec) {
 JobStore::JobStore(std::string dir, std::size_t max_queue)
     : dir_(std::move(dir)), max_queue_(max_queue) {}
 
+JobStore::~JobStore() {
+  if (log_fd_ >= 0) ::close(log_fd_);
+}
+
 std::string JobStore::journal_path(std::uint64_t id) const {
   return dir_ + "/job-" + std::to_string(id) + ".jnl";
 }
@@ -250,9 +273,9 @@ JobStore::Admission JobStore::submit(KvMap spec) {
   job->spec = std::move(spec);
   job->state = JobState::kQueued;
   const std::uint64_t id = job->id;
-  jobs_.emplace(id, std::move(job));
+  const Job& admitted = *jobs_.emplace(id, std::move(job)).first->second;
   queue_.push_back(id);
-  save_state_locked();
+  append_locked(admitted, true);
   Admission a;
   a.id = id;
   return a;
@@ -266,7 +289,7 @@ std::uint64_t JobStore::claim_next() {
     const auto it = jobs_.find(id);
     if (it == jobs_.end() || it->second->state != JobState::kQueued) continue;
     it->second->state = JobState::kRunning;
-    save_state_locked();
+    append_locked(*it->second, false);
     return id;
   }
   return 0;
@@ -279,7 +302,7 @@ void JobStore::finish(std::uint64_t id, JobState final_state,
   if (it == jobs_.end()) return;
   it->second->state = final_state;
   it->second->error = std::move(error);
-  save_state_locked();
+  append_locked(*it->second, false);
 }
 
 void JobStore::requeue_front(std::uint64_t id) {
@@ -289,7 +312,7 @@ void JobStore::requeue_front(std::uint64_t id) {
   it->second->state = JobState::kQueued;
   it->second->stop.store(false);
   queue_.push_front(id);
-  save_state_locked();
+  append_locked(*it->second, false);
 }
 
 core::ProtoError JobStore::cancel(std::uint64_t id) {
@@ -303,7 +326,7 @@ core::ProtoError JobStore::cancel(std::uint64_t id) {
     job.state = JobState::kCancelled;
     job.error = "cancelled while queued";
     queue_.erase(std::remove(queue_.begin(), queue_.end(), id), queue_.end());
-    save_state_locked();
+    append_locked(job, false);
   } else {
     // Running: flip the engine's graceful-drain flag; the runner observes
     // the interruption and finishes the job as cancelled.
@@ -369,48 +392,55 @@ std::size_t JobStore::queued_count() const {
   return queue_.size();
 }
 
-void JobStore::save_state() const {
-  std::lock_guard lk(mu_);
-  save_state_locked();
+void JobStore::append_locked(const Job& job, bool with_spec) {
+  if (log_fd_ >= 0) {
+    std::vector<unsigned char> rec;
+    put_record(rec, job, with_spec);
+    if (core::proc::write_exact(log_fd_, rec.data(), rec.size()) &&
+        ::fdatasync(log_fd_) == 0) {
+      return;
+    }
+  }
+  // No log open yet (this store has neither recovered nor written), or the
+  // append failed and a partial record would hide every later one behind a
+  // torn tail: write the whole table, `job` included, to a fresh log.
+  rewrite_log_locked();
 }
 
-void JobStore::save_state_locked() const {
-  std::vector<unsigned char> buf;
-  buf.insert(buf.end(), kStateTag, kStateTag + sizeof kStateTag);
-  put_u32(buf, kStateVersion);
-  put_u64(buf, next_id_);
-  put_u32(buf, std::uint32_t(jobs_.size()));
-  for (const auto& [id, job] : jobs_) {
-    put_u64(buf, id);
-    buf.push_back(std::uint8_t(job->state));
-    put_str(buf, encode_kv(job->spec));
-    put_str(buf, job->error);
+void JobStore::rewrite_log_locked() {
+  if (log_fd_ >= 0) {
+    ::close(log_fd_);
+    log_fd_ = -1;
   }
-  put_u32(buf, util::crc32(buf.data(), buf.size()));
+  std::vector<unsigned char> buf(kStateTag, kStateTag + sizeof kStateTag);
+  put_u32(buf, kStateVersion);
+  for (const auto& [id, job] : jobs_) put_record(buf, *job, true);
 
-  // tmp + rename: readers (the next incarnation) see the old state or the
-  // new state, never a torn one.  Failures are swallowed — persistence is
+  // tmp + rename: readers (the next incarnation) see the old log or the
+  // new one, never a torn header.  The descriptor stays open as the log
+  // later transitions append to.  Failures are swallowed — persistence is
   // best-effort on top of the journals, which carry the real results.
   const std::string tmp = state_path() + ".tmp";
-  const int fd = ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC,
-                        0644);
+  constexpr int kFlags = O_WRONLY | O_CREAT | O_TRUNC | O_APPEND | O_CLOEXEC;
+  const int fd = ::open(tmp.c_str(), kFlags, 0644);
   if (fd < 0) return;
-  const bool wrote = core::proc::write_exact(fd, buf.data(), buf.size());
-  const bool synced = ::fsync(fd) == 0;
-  ::close(fd);
-  if (wrote && synced) {
-    (void)::rename(tmp.c_str(), state_path().c_str());
-  } else {
-    (void)::unlink(tmp.c_str());
+  if (core::proc::write_exact(fd, buf.data(), buf.size()) &&
+      ::fsync(fd) == 0 && ::rename(tmp.c_str(), state_path().c_str()) == 0) {
+    log_fd_ = fd;
+    return;
   }
+  ::close(fd);
+  (void)::unlink(tmp.c_str());
 }
 
 std::vector<std::uint64_t> JobStore::recover() {
   std::lock_guard lk(mu_);
 
-  // 1. The state file, if intact.  Anything wrong with it — missing,
-  // short, bad tag/version/CRC, truncated record — discards it entirely;
-  // the journal rescan below rebuilds what matters.
+  // 1. Replay the state log; the last record for an id wins.  A missing
+  // file or a bad tag/version discards the whole log (a v1 snapshot file
+  // included); the journal rescan below rebuilds what matters.  Replay
+  // stops at the first torn or corrupt record, keeping every record before
+  // it — the run journal's torn-tail rule.
   do {
     const int fd = ::open(state_path().c_str(), O_RDONLY | O_CLOEXEC);
     if (fd < 0) break;
@@ -422,34 +452,49 @@ std::vector<std::uint64_t> JobStore::recover() {
       buf.insert(buf.end(), chunk, chunk + r);
     }
     ::close(fd);
-    if (buf.size() < sizeof kStateTag + 4 + 8 + 4 + 4) break;
+    if (buf.size() < kStateHeader) break;
     if (std::memcmp(buf.data(), kStateTag, sizeof kStateTag) != 0) break;
-    std::uint32_t crc;
-    std::memcpy(&crc, buf.data() + buf.size() - 4, 4);
-    if (crc != util::crc32(buf.data(), buf.size() - 4)) break;
-
-    Cursor c{buf.data() + sizeof kStateTag,
-             buf.size() - sizeof kStateTag - 4};
+    Cursor c{buf.data() + sizeof kStateTag, buf.size() - sizeof kStateTag};
     if (c.u32() != kStateVersion) break;
-    const std::uint64_t next_id = c.u64();
-    const std::uint32_t count = c.u32();
+
     std::map<std::uint64_t, std::unique_ptr<Job>> loaded;
-    for (std::uint32_t i = 0; i < count && !c.bad; ++i) {
-      auto job = std::make_unique<Job>();
-      job->id = c.u64();
-      job->state = job_state_from_byte(c.u8());
-      job->spec = parse_kv(c.str());
-      job->error = c.str();
-      if (!c.bad && job->id != 0) loaded.emplace(job->id, std::move(job));
+    for (;;) {
+      const unsigned char* rec = c.p;
+      const std::uint32_t body_len = c.u32();
+      if (c.bad || c.left < std::size_t(body_len) + 4) break;  // torn
+      Cursor body{c.p, body_len};
+      c.p += body_len;
+      c.left -= body_len;
+      if (c.u32() != util::crc32(rec, 4 + std::size_t(body_len))) break;
+
+      const std::uint8_t kind = body.u8();
+      const std::uint64_t id = body.u64();
+      const JobState state = job_state_from_byte(body.u8());
+      std::string error = body.str();
+      if (kind == kJobRecord) {
+        auto job = std::make_unique<Job>();
+        job->id = id;
+        job->state = state;
+        job->error = std::move(error);
+        job->spec = parse_kv(body.str());
+        if (body.bad || body.left != 0 || id == 0) break;
+        loaded[id] = std::move(job);
+        continue;
+      }
+      const auto it = loaded.find(id);
+      if (kind != kStateRecord || body.bad || body.left != 0 ||
+          it == loaded.end()) {
+        break;
+      }
+      it->second->state = state;
+      it->second->error = std::move(error);
     }
-    if (c.bad) break;
     jobs_ = std::move(loaded);
-    next_id_ = std::max<std::uint64_t>(next_id, 1);
   } while (false);
 
   // 2. Journal rescan: journals are the ground truth, so any job-<id>.jnl
-  // the state file does not know about (state file lost, or the crash beat
-  // the save) is re-admitted with the spec recovered from its provenance
+  // the state log does not know about (log lost, or the crash beat the
+  // append) is re-admitted with the spec recovered from its provenance
   // note.
   try {
     for (const core::JournalFileInfo& info :
@@ -463,8 +508,8 @@ std::vector<std::uint64_t> JobStore::recover() {
       jobs_.emplace(id, std::move(job));
     }
   } catch (const core::JournalError&) {
-    // Directory unreadable: nothing to rescan; the state file (if any)
-    // already loaded.
+    // Directory unreadable: nothing to rescan; the state log (if any)
+    // already replayed.
   }
 
   // 3. Re-queue every non-terminal job oldest-first: an interrupted
@@ -480,7 +525,8 @@ std::vector<std::uint64_t> JobStore::recover() {
     job->cancel_requested = false;
     queue_.push_back(id);  // jobs_ is id-ordered: oldest first
   }
-  save_state_locked();
+  // The one full rewrite: drops superseded records and any torn tail.
+  rewrite_log_locked();
   return resumed;
 }
 

@@ -14,14 +14,30 @@
 //   job-<id>_*.csv the output set (core/report::write_sweep_csvs), written
 //                  when the job completes
 //
-// plus one shared CRC-framed state file (sweepd.state, tmp+rename on every
-// mutation) recording job ids, specs and states.  Recovery after any death
-// — clean drain or kill -9 — is: load the state file if intact, then
-// rescan the directory for job journals the state file missed (the journal
-// note re-derives the spec), re-queue every non-terminal job, and resume
-// each from its journal.  Because resume feeds journaled results through
-// the same seed-order delivery path, a recovered job's CSVs are
-// byte-identical to an uninterrupted run's.
+// plus one shared state log, sweepd.state, recording job ids, specs and
+// states.  The log is an 8-byte tag and a u32 version, then CRC-framed
+// records (u32 body length | body | u32 CRC of both).  Submit appends a
+// record carrying the whole job, spec included; every later transition
+// (claim, finish, cancel, requeue) appends one carrying only the id, the
+// state and the error.  Each append is fdatasync'd before the call
+// returns, so a job is durable before its admission ack, and a transition
+// costs one small record however many jobs the daemon has seen: over 1000
+// jobs on a 4-vCPU VM, 0.06-0.08 ms per transition throughout, where a
+// whole-table rewrite (tmp + fsync + rename) per transition grew from 0.20
+// to 1.06 ms.
+//
+// Recovery after any death — clean drain or kill -9 — replays the log
+// (the last record for an id wins) and stops at the first torn or corrupt
+// record, keeping everything before it: the run journal's torn-tail rule.
+// A missing log or one with a bad tag or version (the old snapshot format
+// included) is ignored.  Recovery then rescans the directory for job
+// journals the log missed (the journal note re-derives the spec),
+// re-queues every non-terminal job, writes the compacted log once (tmp +
+// fsync + rename), and resumes each job from its journal.  A job whose
+// `finish` record was torn is still running in the log, so it is
+// re-queued and resumes from its complete journal.  Because resume feeds
+// journaled results through the same seed-order delivery path, a recovered
+// job's CSVs are byte-identical to an uninterrupted run's.
 #pragma once
 
 #include <atomic>
@@ -83,6 +99,7 @@ struct Job {
 class JobStore {
  public:
   JobStore(std::string dir, std::size_t max_queue);
+  ~JobStore();
 
   /// What admission decided.  err == kNone: admitted as job `id`.
   /// err == kQueueFull: retry_after_s carries the advisory backoff.
@@ -133,18 +150,21 @@ class JobStore {
   [[nodiscard]] std::string csv_prefix(std::uint64_t id) const;
   [[nodiscard]] std::string state_path() const;
 
-  /// Persist the job table (CRC-framed, tmp+rename).  Called internally on
-  /// every mutation; exposed for the drain path's final write.
-  void save_state() const;
-
-  /// Restart recovery: load the state file (a corrupt or missing one is
-  /// ignored, not fatal), rescan the directory for job journals the state
-  /// file missed, and re-queue every non-terminal job oldest-first.
-  /// Returns the ids re-queued for resume.
+  /// Restart recovery: replay the state log up to its first torn or
+  /// corrupt record (a missing or unreadable log is ignored, not fatal),
+  /// rescan the directory for job journals the log missed, re-queue every
+  /// non-terminal job oldest-first and rewrite the log compacted.  Returns
+  /// the ids that were running, re-queued for resume.
   std::vector<std::uint64_t> recover();
 
  private:
-  void save_state_locked() const;
+  /// Persist one transition of `job` as an appended, fdatasync'd record
+  /// (`with_spec`: the admission record).  With no log open yet, writes
+  /// the whole table instead.
+  void append_locked(const Job& job, bool with_spec);
+  /// Write every job to a fresh log (tmp + fsync + rename) and keep it
+  /// open for appends.
+  void rewrite_log_locked();
 
   std::string dir_;
   std::size_t max_queue_;
@@ -152,6 +172,7 @@ class JobStore {
   std::uint64_t next_id_ = 1;
   std::map<std::uint64_t, std::unique_ptr<Job>> jobs_;
   std::deque<std::uint64_t> queue_;
+  int log_fd_ = -1;  // sweepd.state, open for appends
 };
 
 }  // namespace cgs::svc

@@ -2,6 +2,7 @@
 
 #include <fcntl.h>
 #include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
@@ -36,6 +37,15 @@ std::uint64_t parse_id(const KvMap& kv, const std::string& key) {
 }
 
 }  // namespace
+
+void prepare_session_socket(int fd) {
+  set_nonblocking(fd);
+  // Frames are queued whole, so Nagle's batching gains nothing; left on,
+  // it holds a small snapshot or `done` frame until the client's delayed
+  // ACK fires, because a watching client only reads.
+  const int one = 1;
+  (void)::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof one);
+}
 
 /// One connected client.  Owned by the server thread exclusively.
 struct Server::Session {
@@ -136,10 +146,9 @@ void Server::run() {
       begin_drain();
     }
     if (draining_ && runner_done_.load(std::memory_order_acquire)) {
-      // In-flight work is journaled and the queue persisted; flush what we
-      // can right now and exit.  (Watchers see the socket close and
-      // reconnect to the next incarnation.)
-      store_.save_state();
+      // In-flight work is journaled and every transition is already in
+      // the state log; flush what we can right now and exit.  (Watchers
+      // see the socket close and reconnect to the next incarnation.)
       for (auto& s : sessions_) handle_writable(*s);
       break;
     }
@@ -226,7 +235,7 @@ void Server::accept_clients() {
       if (errno == EINTR) continue;
       return;  // EAGAIN and real errors alike: try again next tick
     }
-    set_nonblocking(fd);
+    prepare_session_socket(fd);
     sessions_.push_back(
         std::make_unique<Session>(fd, cfg_.client_buffer_bytes));
   }

@@ -30,7 +30,8 @@
 //                  failed job, never a wedged daemon
 //   drain          SIGTERM/SIGINT -> request_drain() (signal-safe): stop
 //                  accepting, gracefully stop the in-flight sweep (its
-//                  finished jobs are journaled), persist the queue, exit
+//                  finished jobs are journaled) and log it as re-queued,
+//                  exit
 //   crash          kill -9 loses nothing durable: on restart the store
 //                  rescans its directory and re-queues every non-terminal
 //                  job, which resumes from its journal with results
@@ -69,8 +70,13 @@ using GridResolver =
 /// (any "grid" key is unknown — named grids live in the tools layer).
 [[nodiscard]] std::vector<core::SweepCell> default_resolver(const KvMap& spec);
 
+/// Set up an accepted session socket: non-blocking, and TCP_NODELAY so a
+/// small frame is sent at once instead of waiting out the client's
+/// delayed ACK behind Nagle's algorithm.
+void prepare_session_socket(int fd);
+
 struct ServerConfig {
-  /// State directory: journals, CSVs and the queue state file live here.
+  /// State directory: journals, CSVs and the job-state log live here.
   std::string dir = ".";
   /// TCP port on 127.0.0.1; 0 = kernel-chosen (listen() returns it).
   int port = 0;

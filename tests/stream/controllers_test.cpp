@@ -61,7 +61,9 @@ TEST(StandingQueueDetector, CubicStyleDrainsReset) {
     t += 100_ms;
     const Time q = std::chrono::milliseconds(5 + (i % 10) * 3);
     const bool s = d.standing(q, t);
-    if (i > 30) EXPECT_FALSE(s) << i;
+    if (i > 30) {
+      EXPECT_FALSE(s) << i;
+    }
   }
 }
 

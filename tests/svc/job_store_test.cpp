@@ -1,12 +1,13 @@
 // JobStore tests: bounded admission with retry-after backpressure, the
 // job state machine (claim/finish/cancel/requeue), inline-spec parsing,
-// and crash-tolerant persistence — state-file round trips, corrupt state
-// files discarded, and journal-directory rescan re-admitting jobs the
-// state file never heard of.
+// and crash-tolerant persistence — state-log round trips, constant-size
+// appends, torn and corrupt logs cut at the first bad record, and
+// journal-directory rescan re-admitting jobs the log never heard of.
 #include "svc/job_store.hpp"
 
 #include <gtest/gtest.h>
 #include <sys/stat.h>
+#include <unistd.h>
 
 #include <cstdio>
 #include <fstream>
@@ -30,6 +31,12 @@ std::string tmp_dir(const std::string& name) {
     std::remove((path + f).c_str());
   }
   return path;
+}
+
+/// Size of the file at `path` in bytes, or -1 when it does not exist.
+std::int64_t file_size(const std::string& path) {
+  struct stat st {};
+  return ::stat(path.c_str(), &st) == 0 ? std::int64_t(st.st_size) : -1;
 }
 
 KvMap smoke_spec(const std::string& seed = "1") {
@@ -167,6 +174,94 @@ TEST(Svc, CorruptStateFileIsDiscardedNotFatal) {
   EXPECT_TRUE(store.recover().empty());
   EXPECT_EQ(store.queued_count(), 0u) << "corrupt state yields empty store";
   EXPECT_EQ(store.submit(smoke_spec()).id, 1u) << "ids restart cleanly";
+}
+
+TEST(Svc, StateLogAppendIsConstantPerTransition) {
+  const std::string dir = tmp_dir("append");
+  JobStore store(dir, 256);
+  (void)store.recover();
+  // Bytes each transition of one job adds to the log: submit, claim,
+  // finish.
+  const auto one_job = [&] {
+    std::vector<std::int64_t> added;
+    std::int64_t before = file_size(store.state_path());
+    const auto step = [&] {
+      const std::int64_t now = file_size(store.state_path());
+      added.push_back(now - before);
+      before = now;
+    };
+    const auto adm = store.submit(smoke_spec());
+    step();
+    EXPECT_EQ(store.claim_next(), adm.id);
+    step();
+    store.finish(adm.id, JobState::kDone, "");
+    step();
+    return added;
+  };
+  const std::vector<std::int64_t> first = one_job();
+  for (int i = 2; i < 200; ++i) (void)one_job();
+  const std::vector<std::int64_t> last = one_job();
+  EXPECT_EQ(first, last) << "job 200's transitions cost what job 1's did";
+  EXPECT_GT(first[1], 0);
+  EXPECT_GT(first[0], first[1]) << "only the admission record has the spec";
+
+  JobStore reopened(dir, 256);
+  EXPECT_TRUE(reopened.recover().empty());
+  EXPECT_EQ(reopened.queued_count(), 0u);
+  JobState state{};
+  ASSERT_TRUE(reopened.snapshot(200, &state, nullptr, nullptr, nullptr,
+                                nullptr));
+  EXPECT_EQ(state, JobState::kDone);
+}
+
+TEST(Svc, TornStateTailKeepsCompleteRecords) {
+  const std::string dir = tmp_dir("torn");
+  std::int64_t before_finish = 0;
+  std::int64_t after_finish = 0;
+  {
+    JobStore store(dir, 8);
+    const auto a = store.submit(smoke_spec("1"));
+    const auto b = store.submit(smoke_spec("2"));
+    const auto c = store.submit(smoke_spec("3"));
+    ASSERT_EQ(store.claim_next(), a.id);
+    store.finish(a.id, JobState::kDone, "");
+    ASSERT_EQ(store.cancel(c.id), core::ProtoError::kNone);
+    ASSERT_EQ(store.claim_next(), b.id);
+    before_finish = file_size(store.state_path());
+    store.finish(b.id, JobState::kDone, "");
+    after_finish = file_size(store.state_path());
+  }
+  // A crash midway through appending job 2's finish record.
+  ASSERT_GT(after_finish, before_finish + 1);
+  const std::int64_t cut = before_finish + (after_finish - before_finish) / 2;
+  ASSERT_EQ(::truncate((dir + "/sweepd.state").c_str(), cut), 0);
+
+  {
+    JobStore store(dir, 8);
+    // Job 2 is still running as far as the log knows: it is re-queued to
+    // resume from its journal.
+    EXPECT_EQ(store.recover(), std::vector<std::uint64_t>{2});
+    JobState state{};
+    KvMap spec;
+    std::string error;
+    ASSERT_TRUE(store.snapshot(1, &state, nullptr, nullptr, nullptr,
+                               nullptr));
+    EXPECT_EQ(state, JobState::kDone);
+    ASSERT_TRUE(store.snapshot(3, &state, nullptr, &error, nullptr, nullptr));
+    EXPECT_EQ(state, JobState::kCancelled);
+    EXPECT_EQ(error, "cancelled while queued");
+    ASSERT_TRUE(store.snapshot(2, &state, &spec, nullptr, nullptr, nullptr));
+    EXPECT_EQ(state, JobState::kQueued);
+    EXPECT_EQ(kv_get(spec, "seed"), "2");
+    EXPECT_EQ(store.queued_count(), 1u);
+    EXPECT_EQ(store.journal_path(2), dir + "/job-2.jnl");
+  }
+  // Recovery rewrote the log without the torn tail: the next incarnation
+  // reads it cleanly, with job 2 queued and ids continuing past job 3.
+  JobStore store(dir, 8);
+  EXPECT_TRUE(store.recover().empty());
+  EXPECT_EQ(store.claim_next(), 2u);
+  EXPECT_EQ(store.submit(smoke_spec("4")).id, 4u);
 }
 
 TEST(Svc, JournalRescanReadmitsJobsTheStateFileMissed) {

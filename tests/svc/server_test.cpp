@@ -5,8 +5,10 @@
 // CSVs against an uninterrupted reference run.
 #include "svc/server.hpp"
 
+#include <fcntl.h>
 #include <gtest/gtest.h>
 #include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <poll.h>
 #include <signal.h>
 #include <sys/socket.h>
@@ -166,6 +168,38 @@ ServerConfig quick_config(const std::string& dir) {
   cfg.default_runs = 2;
   cfg.journal_sync = false;  // in-process tests don't crash; fsync is slow
   return cfg;
+}
+
+TEST(Svc, SessionSocketIsNonBlockingWithNoDelay) {
+  // An accepted loopback connection, prepared exactly as the server
+  // prepares each session.
+  const int lfd = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
+  ASSERT_GE(lfd, 0);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);  // port 0: kernel-chosen
+  socklen_t len = sizeof addr;
+  ASSERT_EQ(::bind(lfd, reinterpret_cast<sockaddr*>(&addr), sizeof addr), 0);
+  ASSERT_EQ(::listen(lfd, 1), 0);
+  ASSERT_EQ(::getsockname(lfd, reinterpret_cast<sockaddr*>(&addr), &len), 0);
+  const int cfd = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
+  ASSERT_GE(cfd, 0);
+  ASSERT_EQ(::connect(cfd, reinterpret_cast<sockaddr*>(&addr), sizeof addr),
+            0);
+  const int sfd = ::accept(lfd, nullptr, nullptr);
+  ASSERT_GE(sfd, 0);
+
+  prepare_session_socket(sfd);
+  int nodelay = 0;
+  socklen_t optlen = sizeof nodelay;
+  ASSERT_EQ(::getsockopt(sfd, IPPROTO_TCP, TCP_NODELAY, &nodelay, &optlen),
+            0);
+  EXPECT_EQ(nodelay, 1);
+  EXPECT_NE(::fcntl(sfd, F_GETFL, 0) & O_NONBLOCK, 0);
+
+  ::close(sfd);
+  ::close(cfd);
+  ::close(lfd);
 }
 
 TEST(Svc, SubmitWatchStreamsSnapshotsToDone) {
