@@ -1,14 +1,11 @@
 #include "core/journal.hpp"
 
-#include <dirent.h>
 #include <fcntl.h>
 #include <sys/stat.h>
 #include <unistd.h>
 
-#include <algorithm>
 #include <cerrno>
 #include <cstring>
-#include <string_view>
 #include <utility>
 
 #include "util/crc32.hpp"
@@ -206,157 +203,199 @@ std::vector<unsigned char> record_bytes(const JournalEntry& e) {
 
 }  // namespace
 
-// -- scanning --------------------------------------------------------------
+// -- reading ---------------------------------------------------------------
 
-std::optional<JournalScan> read_journal(const std::string& path) {
-  const int fd = ::open(path.c_str(), O_RDONLY);
+namespace {
+
+// Header: magic + version + fingerprint + runs + cells + note_len.
+constexpr std::size_t kHeaderFixed = 8 + 4 + 8 + 4 + 4 + 4;
+
+std::uint32_t get_u32(const unsigned char* p) {
+  std::uint32_t v;
+  std::memcpy(&v, p, sizeof v);
+  return v;
+}
+
+std::uint64_t get_u64(const unsigned char* p) {
+  std::uint64_t v;
+  std::memcpy(&v, p, sizeof v);
+  return v;
+}
+
+/// pread until `n` bytes or end of file; returns the bytes read (short
+/// only at end of file, e.g. after a concurrent truncation).
+std::size_t pread_full(int fd, void* data, std::size_t n, std::uint64_t off,
+                       const std::string& path) {
+  auto* p = static_cast<unsigned char*>(data);
+  std::size_t got = 0;
+  while (got < n) {
+    const ssize_t r = ::pread(fd, p + got, n - got, off_t(off + got));
+    if (r < 0) {
+      if (errno == EINTR) continue;
+      throw_errno("read", path);
+    }
+    if (r == 0) break;
+    got += std::size_t(r);
+  }
+  return got;
+}
+
+}  // namespace
+
+std::optional<JournalReader> JournalReader::open(const std::string& path) {
+  const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
   if (fd < 0) {
     if (errno == ENOENT) return std::nullopt;
     throw_errno("open", path);
   }
-  std::vector<unsigned char> buf;
-  {
-    struct stat st {};
-    if (::fstat(fd, &st) != 0) {
-      ::close(fd);
-      throw_errno("stat", path);
-    }
-    buf.resize(std::size_t(st.st_size));
-    std::size_t off = 0;
-    while (off < buf.size()) {
-      const ssize_t r = ::read(fd, buf.data() + off, buf.size() - off);
-      if (r < 0) {
-        if (errno == EINTR) continue;
-        ::close(fd);
-        throw_errno("read", path);
-      }
-      if (r == 0) break;  // concurrent truncation; scan what we have
-      off += std::size_t(r);
-    }
-    buf.resize(off);
+  struct stat st {};
+  if (::fstat(fd, &st) != 0) {
     ::close(fd);
+    throw_errno("stat", path);
   }
+  JournalReader r(fd, path, std::uint64_t(st.st_size));
 
-  // Header: magic + version + fingerprint + runs + cells + note_len.
-  constexpr std::size_t kHeaderFixed = 8 + 4 + 8 + 4 + 4 + 4;
-  if (buf.size() < kHeaderFixed) return std::nullopt;  // died mid-creation
-  if (std::memcmp(buf.data(), kMagic, sizeof kMagic) != 0) {
+  std::vector<unsigned char> hdr(kHeaderFixed);
+  if (pread_full(fd, hdr.data(), hdr.size(), 0, path) < kHeaderFixed) {
+    return std::nullopt;  // died mid-creation
+  }
+  if (std::memcmp(hdr.data(), kMagic, sizeof kMagic) != 0) {
     throw JournalError("journal: '" + path + "' is not a CGS journal");
   }
-  auto rd_u32 = [&](std::size_t off) {
-    std::uint32_t v;
-    std::memcpy(&v, buf.data() + off, sizeof v);
-    return v;
-  };
-  auto rd_u64 = [&](std::size_t off) {
-    std::uint64_t v;
-    std::memcpy(&v, buf.data() + off, sizeof v);
-    return v;
-  };
-
-  const std::uint32_t version = rd_u32(8);
+  const std::uint32_t version = get_u32(hdr.data() + 8);
   if (version != kVersion) {
     throw JournalError("journal: '" + path + "' has unsupported version " +
                        std::to_string(version));
   }
-  JournalScan scan;
-  scan.meta.fingerprint = rd_u64(12);
-  scan.meta.runs = rd_u32(20);
-  scan.meta.cells = rd_u32(24);
-  const std::uint32_t note_len = rd_u32(28);
+  const std::uint32_t note_len = get_u32(hdr.data() + 28);
   const std::size_t header_total = kHeaderFixed + note_len + 4;
-  if (note_len > kMaxPayload || buf.size() < header_total) {
+  if (note_len > kMaxPayload || r.size_ < header_total) {
     return std::nullopt;  // died while writing the header
   }
-  scan.meta.note.assign(reinterpret_cast<const char*>(buf.data()) +
-                            kHeaderFixed,
-                        note_len);
-  if (rd_u32(kHeaderFixed + note_len) !=
-      util::crc32(buf.data(), kHeaderFixed + note_len)) {
+  hdr.resize(header_total);
+  if (pread_full(fd, hdr.data() + kHeaderFixed, note_len + 4, kHeaderFixed,
+                 path) < note_len + 4) {
+    return std::nullopt;
+  }
+  if (get_u32(hdr.data() + kHeaderFixed + note_len) !=
+      util::crc32(hdr.data(), kHeaderFixed + note_len)) {
     throw JournalError("journal: '" + path + "' header CRC mismatch");
   }
-
-  // Records.
-  std::size_t off = header_total;
-  while (off < buf.size()) {
-    const std::size_t avail = buf.size() - off;
-    // Not even the fixed part fits, the magic is wrong, or the length field
-    // is garbage: a torn tail if it is the last thing in the file.
-    auto torn = [&] {
-      scan.torn_tail = true;
-      scan.valid_bytes = off;
-      return scan;
-    };
-    if (avail < kRecordFixed) return torn();
-    if (rd_u32(off) != kRecordMagic) return torn();
-    const std::uint32_t payload_len = rd_u32(off + kRecordFixed - 4);
-    if (payload_len > kMaxPayload) return torn();
-    const std::size_t total = kRecordFixed + payload_len + 4;
-    if (avail < total) return torn();
-
-    const std::uint32_t stored_crc = rd_u32(off + total - 4);
-    if (stored_crc != util::crc32(buf.data() + off, total - 4)) {
-      // A complete-looking record with a bad CRC: torn only at end-of-file
-      // (a crash mid-write); anywhere else the file is corrupt.
-      if (off + total == buf.size()) return torn();
-      throw JournalError("journal: '" + path + "' corrupt record at offset " +
-                         std::to_string(off));
-    }
-
-    JournalEntry e;
-    e.cell = rd_u32(off + 4);
-    e.run = rd_u32(off + 8);
-    e.seed = rd_u64(off + 12);
-    e.ok = buf[off + 20] != 0;
-    e.cls = error_class_from_byte(buf[off + 21]);
-    e.trace_hash = rd_u64(off + 22);
-    e.payload.assign(buf.begin() + std::ptrdiff_t(off + kRecordFixed),
-                     buf.begin() + std::ptrdiff_t(off + kRecordFixed +
-                                                  payload_len));
-    scan.entries.push_back(std::move(e));
-    off += total;
-  }
-  scan.valid_bytes = off;
-  return scan;
+  r.meta_.fingerprint = get_u64(hdr.data() + 12);
+  r.meta_.runs = get_u32(hdr.data() + 20);
+  r.meta_.cells = get_u32(hdr.data() + 24);
+  r.meta_.note.assign(reinterpret_cast<const char*>(hdr.data()) + kHeaderFixed,
+                      note_len);
+  r.off_ = header_total;
+  return r;
 }
 
-std::vector<JournalFileInfo> scan_journal_dir(const std::string& dir) {
-  DIR* d = ::opendir(dir.c_str());
-  if (d == nullptr) throw_errno("opendir", dir);
-  std::vector<JournalFileInfo> out;
-  for (;;) {
-    errno = 0;
-    const dirent* ent = ::readdir(d);
-    if (ent == nullptr) break;
-    const std::string name = ent->d_name;
-    constexpr std::string_view kSuffix = ".jnl";
-    if (name.size() <= kSuffix.size() ||
-        name.compare(name.size() - kSuffix.size(), kSuffix.size(), kSuffix) !=
-            0) {
-      continue;
-    }
-    const std::string path = dir + "/" + name;
-    try {
-      const auto scan = read_journal(path);
-      if (!scan) continue;  // died mid-creation: nothing recoverable
-      JournalFileInfo info;
-      info.path = path;
-      info.meta = scan->meta;
-      info.entries = scan->entries.size();
-      info.torn_tail = scan->torn_tail;
-      out.push_back(std::move(info));
-    } catch (const JournalError&) {
-      // Foreign or corrupt-beyond-repair file: a restart scan must not die
-      // on one bad inode, it recovers everything else.
-      continue;
-    }
+JournalReader::JournalReader(JournalReader&& o) noexcept
+    : fd_(std::exchange(o.fd_, -1)),
+      path_(std::move(o.path_)),
+      size_(o.size_),
+      meta_(std::move(o.meta_)),
+      off_(o.off_),
+      record_off_(o.record_off_),
+      torn_(o.torn_) {}
+
+JournalReader& JournalReader::operator=(JournalReader&& o) noexcept {
+  if (this != &o) {
+    if (fd_ >= 0) ::close(fd_);
+    fd_ = std::exchange(o.fd_, -1);
+    path_ = std::move(o.path_);
+    size_ = o.size_;
+    meta_ = std::move(o.meta_);
+    off_ = o.off_;
+    record_off_ = o.record_off_;
+    torn_ = o.torn_;
   }
-  ::closedir(d);
-  std::sort(out.begin(), out.end(),
-            [](const JournalFileInfo& a, const JournalFileInfo& b) {
-              return a.path < b.path;
-            });
-  return out;
+  return *this;
+}
+
+JournalReader::~JournalReader() {
+  if (fd_ >= 0) ::close(fd_);
+}
+
+JournalReader::Read JournalReader::read_record(std::uint64_t off,
+                                               JournalEntry& e,
+                                               std::uint64_t& total) const {
+  // Not even the fixed part fits, the magic is wrong, or the length field
+  // is garbage: torn.
+  const std::uint64_t avail = size_ > off ? size_ - off : 0;
+  unsigned char fixed[kRecordFixed];
+  if (avail < kRecordFixed ||
+      pread_full(fd_, fixed, kRecordFixed, off, path_) < kRecordFixed ||
+      get_u32(fixed) != kRecordMagic) {
+    return Read::kTorn;
+  }
+  const std::uint32_t payload_len = get_u32(fixed + kRecordFixed - 4);
+  if (payload_len > kMaxPayload) return Read::kTorn;
+  total = kRecordFixed + std::uint64_t(payload_len) + 4;
+  if (avail < total) return Read::kTorn;
+
+  // Payload and CRC in one read, into the entry's own buffer.
+  e.payload.resize(std::size_t(payload_len) + 4);
+  if (pread_full(fd_, e.payload.data(), e.payload.size(), off + kRecordFixed,
+                 path_) < e.payload.size()) {
+    return Read::kTorn;
+  }
+  const std::uint32_t stored_crc = get_u32(e.payload.data() + payload_len);
+  e.payload.resize(payload_len);
+  if (stored_crc != util::crc32(e.payload.data(), payload_len,
+                                util::crc32(fixed, kRecordFixed))) {
+    return Read::kBadCrc;
+  }
+  e.cell = get_u32(fixed + 4);
+  e.run = get_u32(fixed + 8);
+  e.seed = get_u64(fixed + 12);
+  e.ok = fixed[20] != 0;
+  e.cls = error_class_from_byte(fixed[21]);
+  e.trace_hash = get_u64(fixed + 22);
+  return Read::kOk;
+}
+
+bool JournalReader::next(JournalEntry& e) {
+  if (torn_ || off_ >= size_) return false;
+  std::uint64_t total = 0;
+  switch (read_record(off_, e, total)) {
+    case Read::kOk:
+      record_off_ = off_;
+      off_ += total;
+      return true;
+    case Read::kBadCrc:
+      // A complete-looking record with a bad CRC: torn only at end-of-file
+      // (a crash mid-write); anywhere else the file is corrupt.
+      if (off_ + total != size_) {
+        throw JournalError("journal: '" + path_ +
+                           "' corrupt record at offset " +
+                           std::to_string(off_));
+      }
+      [[fallthrough]];
+    case Read::kTorn:
+      torn_ = true;
+      return false;
+  }
+  return false;
+}
+
+void JournalReader::read_at(std::uint64_t offset, JournalEntry& e) const {
+  std::uint64_t total = 0;
+  if (read_record(offset, e, total) != Read::kOk) {
+    throw JournalError("journal: '" + path_ + "' record at offset " +
+                       std::to_string(offset) + " is no longer intact");
+  }
+}
+
+std::optional<JournalScan> read_journal(const std::string& path) {
+  std::optional<JournalReader> r = JournalReader::open(path);
+  if (!r) return std::nullopt;
+  JournalScan scan;
+  scan.meta = r->meta();
+  for (JournalEntry e; r->next(e);) scan.entries.push_back(std::move(e));
+  scan.valid_bytes = r->valid_bytes();
+  scan.torn_tail = r->torn_tail();
+  return scan;
 }
 
 // -- writing ---------------------------------------------------------------

@@ -81,35 +81,66 @@ struct JournalScan {
   bool torn_tail = false;
 };
 
-/// Scan `path`.  Returns nullopt when the file is missing or too short to
-/// hold a complete header (a crash during creation): callers recreate it.
-/// Throws JournalError for a corrupt header or a mid-file corrupt record;
-/// a bad record that extends to end-of-file is a torn tail, not an error.
+/// Scan `path` into memory, every payload included.  Returns nullopt when
+/// the file is missing or too short to hold a complete header (a crash
+/// during creation): callers recreate it.  Throws JournalError for a
+/// corrupt header or a mid-file corrupt record; a bad record that extends
+/// to end-of-file is a torn tail, not an error.  Reads through
+/// JournalReader, so it holds no copy of the file beside the entries.
 [[nodiscard]] std::optional<JournalScan> read_journal(const std::string& path);
 
-/// One journal found by scan_journal_dir: its location, header metadata
-/// and how far it got.  `entries` counts intact records only (a torn tail
-/// is excluded, exactly as a resume would exclude it).
-struct JournalFileInfo {
-  std::string path;
-  JournalMeta meta;
-  std::size_t entries = 0;
-  bool torn_tail = false;
-  /// Every (cell, run) slot of the grid has a record: a resume against
-  /// this journal re-runs nothing.
-  [[nodiscard]] bool complete() const {
-    return entries >= std::size_t(meta.runs) * meta.cells && entries > 0;
-  }
-};
+/// Record-wise reader: the header on open, then one record per next()
+/// straight from the file, so a walk over a journal of any length holds at
+/// most one payload.  Torn-tail and corruption rules are read_journal's.
+class JournalReader {
+ public:
+  /// Open `path` and read only its header.  Returns nullopt when the file
+  /// is missing or too short to hold a complete header; throws
+  /// JournalError for a foreign, unsupported or corrupt header.
+  [[nodiscard]] static std::optional<JournalReader> open(
+      const std::string& path);
 
-/// Enumerate the intact journals directly under `dir` (files matching
-/// "*.jnl"), sorted by path.  Built for a service restart scanning its
-/// state directory: files that are missing headers, corrupt, foreign, or
-/// unreadable are skipped — never thrown — because a directory that
-/// accumulated junk must still be recoverable.  Throws JournalError only
-/// when `dir` itself cannot be opened.
-[[nodiscard]] std::vector<JournalFileInfo> scan_journal_dir(
-    const std::string& dir);
+  JournalReader(JournalReader&& o) noexcept;
+  JournalReader& operator=(JournalReader&& o) noexcept;
+  JournalReader(const JournalReader&) = delete;
+  JournalReader& operator=(const JournalReader&) = delete;
+  ~JournalReader();
+
+  [[nodiscard]] const JournalMeta& meta() const { return meta_; }
+
+  /// Read the next intact record into `e`, reusing e.payload's storage.
+  /// Returns false when the records end: at end of file, or at a torn tail
+  /// (torn_tail() then reads true).  Throws JournalError for a record with
+  /// a bad CRC that does not extend to end of file.
+  bool next(JournalEntry& e);
+
+  /// File offset of the record next() returned last.
+  [[nodiscard]] std::uint64_t record_offset() const { return record_off_; }
+  /// Offset just past the last intact record read so far: once next() has
+  /// returned false, where JournalWriter::append_to resumes.
+  [[nodiscard]] std::uint64_t valid_bytes() const { return off_; }
+  [[nodiscard]] bool torn_tail() const { return torn_; }
+
+  /// Re-read the record at `offset` (a record_offset() seen earlier) into
+  /// `e`, checking its CRC again; throws JournalError if it is no longer
+  /// intact.  Positional reads only, so concurrent calls are safe.
+  void read_at(std::uint64_t offset, JournalEntry& e) const;
+
+ private:
+  enum class Read : std::uint8_t { kOk, kTorn, kBadCrc };
+  JournalReader(int fd, std::string path, std::uint64_t size)
+      : fd_(fd), path_(std::move(path)), size_(size) {}
+  Read read_record(std::uint64_t off, JournalEntry& e,
+                   std::uint64_t& total) const;
+
+  int fd_ = -1;
+  std::string path_;
+  std::uint64_t size_ = 0;  // file size at open
+  JournalMeta meta_;
+  std::uint64_t off_ = 0;
+  std::uint64_t record_off_ = 0;
+  bool torn_ = false;
+};
 
 /// Appends CRC'd records, optionally fsync'ing each one.
 class JournalWriter {

@@ -12,6 +12,7 @@
 #include <cstring>
 #include <sstream>
 #include <stdexcept>
+#include <utility>
 
 #include "util/crc32.hpp"
 #include "util/rng.hpp"
@@ -66,30 +67,71 @@ std::vector<unsigned char> frame_bytes(bool ok, ErrorClass cls,
   return out;
 }
 
-/// Parse the child's buffered pipe output.  False when no complete, intact
-/// frame is present (absent, torn, or corrupt) — the caller then classifies
-/// from the exit status instead.
-bool parse_frame(const std::vector<unsigned char>& buf, ChildResult& out) {
-  if (buf.size() < kFrameFixed + 4) return false;
-  if (get_u32(buf.data()) != kFrameMagic) return false;
-  const std::uint32_t payload_len = get_u32(buf.data() + 6);
-  const std::size_t total = kFrameFixed + payload_len + 4;
-  if (buf.size() != total) return false;
-  if (get_u32(buf.data() + total - 4) != util::crc32(buf.data(), total - 4)) {
-    return false;
+/// The child's result frame as it arrives over the pipe: the fixed part
+/// first, then payload and CRC straight into one buffer sized from the
+/// header, which becomes the result's payload without another copy.  A
+/// bad magic, an implausible length or bytes past the frame break it; the
+/// rest is drained unread.
+class FrameReader {
+ public:
+  /// Where the next bytes from the pipe go, and how many.
+  [[nodiscard]] std::pair<unsigned char*, std::size_t> space() {
+    if (got_ < kFrameFixed) return {head_ + got_, kFrameFixed - got_};
+    const std::size_t body_got = got_ - kFrameFixed;
+    if (!broken_ && body_got < body_.size()) {
+      return {body_.data() + body_got, body_.size() - body_got};
+    }
+    return {drain_, sizeof drain_};
   }
-  const bool ok = buf[4] == 0;
-  out.ok = ok;
-  out.cls = ok ? ErrorClass::kUnclassified : error_class_from_byte(buf[5]);
-  if (ok) {
-    out.payload.assign(buf.begin() + std::ptrdiff_t(kFrameFixed),
-                       buf.begin() + std::ptrdiff_t(kFrameFixed + payload_len));
-  } else {
-    out.message.assign(reinterpret_cast<const char*>(buf.data()) + kFrameFixed,
-                       payload_len);
+
+  /// Account for `n` bytes just read into space().
+  void advance(std::size_t n) {
+    if (got_ >= kFrameFixed + body_.size()) broken_ = true;  // past the end
+    got_ += n;
+    if (got_ == kFrameFixed && !broken_) {
+      const std::uint32_t payload_len = get_u32(head_ + 6);
+      if (get_u32(head_) != kFrameMagic || payload_len > kMaxFramePayload) {
+        broken_ = true;
+      } else {
+        body_.resize(std::size_t(payload_len) + 4);
+      }
+    }
   }
-  return true;
-}
+
+  /// Fill `out` from a complete, intact frame.  False when the frame is
+  /// absent, torn, or corrupt — the caller then classifies from the exit
+  /// status instead.
+  bool parse(ChildResult& out) {
+    if (broken_ || got_ != kFrameFixed + body_.size()) return false;
+    const std::size_t payload_len = body_.size() - 4;
+    if (get_u32(body_.data() + payload_len) !=
+        util::crc32(body_.data(), payload_len,
+                    util::crc32(head_, kFrameFixed))) {
+      return false;
+    }
+    const bool ok = head_[4] == 0;
+    out.ok = ok;
+    out.cls = ok ? ErrorClass::kUnclassified : error_class_from_byte(head_[5]);
+    body_.resize(payload_len);
+    if (ok) {
+      out.payload = std::move(body_);
+    } else {
+      out.message.assign(reinterpret_cast<const char*>(body_.data()),
+                         payload_len);
+    }
+    return true;
+  }
+
+ private:
+  // A length beyond this is a broken frame, not a payload to allocate.
+  static constexpr std::uint32_t kMaxFramePayload = 1u << 30;
+
+  unsigned char head_[kFrameFixed] = {};
+  std::vector<unsigned char> body_;  // payload | crc, once the head is in
+  std::size_t got_ = 0;              // frame bytes received
+  bool broken_ = false;
+  unsigned char drain_[4096] = {};
+};
 
 /// Apply the per-job caps inside the child.  Failures are ignored — a cap
 /// that cannot be applied degrades to "uncapped", never to a dead child.
@@ -254,8 +296,7 @@ ChildResult run_forked(const ChildJob& job, const ResourceLimits& limits) {
                          std::chrono::duration<double>(limits.wall_seconds));
 
   ChildResult result;
-  std::vector<unsigned char> buf;
-  unsigned char chunk[4096];
+  FrameReader frame;
   for (;;) {
     int timeout_ms = -1;
     if (has_deadline && !result.timed_out) {
@@ -279,12 +320,14 @@ ChildResult run_forked(const ChildJob& job, const ResourceLimits& limits) {
       ::kill(pid, SIGKILL);
       continue;
     }
-    // read_some retries EINTR internally; short reads accumulate in buf,
-    // so a signal storm during a multi-MB frame costs retries, not bytes.
-    const long r = read_some(fds[0], chunk, sizeof chunk);
+    // read_some retries EINTR internally; short reads accumulate in the
+    // frame, so a signal storm during a multi-MB frame costs retries, not
+    // bytes.
+    const auto [dst, room] = frame.space();
+    const long r = read_some(fds[0], dst, room);
     if (r < 0) break;   // real error: classify from the exit status
     if (r == 0) break;  // EOF: the child exited (or died)
-    buf.insert(buf.end(), chunk, chunk + r);
+    frame.advance(std::size_t(r));
   }
   ::close(fds[0]);
 
@@ -295,7 +338,7 @@ ChildResult run_forked(const ChildJob& job, const ResourceLimits& limits) {
 
   // An intact frame is authoritative: the job finished and reported before
   // anything killed the process.
-  if (parse_frame(buf, result)) return result;
+  if (frame.parse(result)) return result;
   classify_exit(status, result.timed_out, limits, result);
   return result;
 }

@@ -18,15 +18,22 @@
 namespace cgs::core {
 namespace {
 
+/// A completion waiting for its turn: a fresh trace, a preloaded run whose
+/// trace is not loaded yet, or neither (a failed run).
+struct Parked {
+  std::optional<RunTrace> trace;
+  const PreloadedRun* preloaded = nullptr;
+};
+
 /// Per-cell delivery state: completions park here until every lower seed
 /// has drained, keeping consume() calls in seed order.  A failed run parks
-/// nullopt so the order still advances past it.  Jobs are claimed in
+/// empty so the order still advances past it.  Jobs are claimed in
 /// increasing order, so a run parks only when a lower seed of its cell is
 /// still executing on another worker.
 struct CellState {
   std::mutex mu;
   int next_run = 0;
-  std::map<int, std::optional<RunTrace>> pending;
+  std::map<int, Parked> pending;
 };
 
 }  // namespace
@@ -196,16 +203,37 @@ SweepReport sweep_jobs(
     }
   };
 
-  auto deliver = [&](int job, std::optional<RunTrace>&& trace) {
+  // A preloaded run's trace is loaded only when its turn comes; a load
+  // that throws (the record changed on disk) is that job's failure.
+  auto load_preloaded = [&](const PreloadedRun& p) -> std::optional<RunTrace> {
+    try {
+      return p.load();
+    } catch (const std::exception& e) {
+      SweepFailure f;
+      f.cell = p.cell;
+      f.cell_label = cells[p.cell].label;
+      f.seed = cells[p.cell].scenario.seed + std::uint64_t(p.run);
+      f.what = e.what();
+      f.cls = classify(e);
+      record_failure(std::move(f));
+      return std::nullopt;
+    }
+  };
+
+  auto deliver = [&](int job, Parked&& parked) {
     const auto cell = std::size_t(job) / std::size_t(runs);
     CellState& st = states[cell];
     {
       std::lock_guard lk(st.mu);
-      st.pending.emplace(job % runs, std::move(trace));
+      st.pending.emplace(job % runs, std::move(parked));
       for (auto it = st.pending.find(st.next_run); it != st.pending.end();
            it = st.pending.find(st.next_run)) {
-        if (it->second.has_value()) {
-          consume(cell, st.next_run, std::move(*it->second));
+        Parked& p = it->second;
+        if (p.preloaded != nullptr && p.preloaded->load) {
+          p.trace = load_preloaded(*p.preloaded);
+        }
+        if (p.trace.has_value()) {
+          consume(cell, st.next_run, std::move(*p.trace));
         }
         st.pending.erase(it);  // the trace dies here — nothing accumulates
         if (++st.next_run == runs) {
@@ -226,8 +254,7 @@ SweepReport sweep_jobs(
       f.cell_label = cells[p.cell].label;
       record_failure(std::move(f));
     }
-    std::optional<RunTrace> trace = p.trace;
-    deliver(int(p.cell) * runs + p.run, std::move(trace));
+    deliver(int(p.cell) * runs + p.run, Parked{std::nullopt, &p});
     ++report.skipped;
   }
 
@@ -343,7 +370,7 @@ SweepReport sweep_jobs(
       std::lock_guard lk(failures_mu);
       ++report.succeeded;
     }
-    deliver(job, std::move(trace));
+    deliver(job, Parked{std::move(trace), nullptr});
   };
 
   // One shared cursor over the flat cell-major list of jobs still to run:
@@ -400,15 +427,19 @@ SweepReport sweep_jobs(
 
 namespace {
 
-/// Rebuild PreloadedRuns from a journal scan, deduplicating slots (first
-/// record wins — duplicates can only come from a hand-edited file).
-std::vector<PreloadedRun> preload_from_scan(const JournalScan& scan,
-                                            const std::vector<SweepCell>& cells,
-                                            int runs) {
+/// Pass 1 of a resume: walk the journal once through one reused record
+/// buffer (next() checks each CRC) and index the first record of each
+/// (cell, run) slot — duplicates can only come from a hand-edited file.  A
+/// successful run keeps only its record's offset; pass 2, the seed-order
+/// delivery, re-reads the record (CRC checked again), decodes, folds and
+/// drops it, so resume memory does not grow with the journal.
+std::vector<PreloadedRun> index_journal(JournalReader& reader,
+                                        const std::vector<SweepCell>& cells,
+                                        int runs) {
   std::vector<PreloadedRun> out;
   std::vector<char> seen(cells.size() * std::size_t(runs), 0);
-  out.reserve(scan.entries.size());
-  for (const JournalEntry& e : scan.entries) {
+  JournalEntry e;
+  while (reader.next(e)) {
     if (e.cell >= cells.size() || int(e.run) >= runs) continue;
     char& mark = seen[e.cell * std::size_t(runs) + e.run];
     if (mark != 0) continue;
@@ -418,7 +449,11 @@ std::vector<PreloadedRun> preload_from_scan(const JournalScan& scan,
     p.cell = e.cell;
     p.run = int(e.run);
     if (e.ok) {
-      p.trace = deserialize_trace(e.payload.data(), e.payload.size());
+      p.load = [&reader, at = reader.record_offset()] {
+        JournalEntry r;
+        reader.read_at(at, r);
+        return deserialize_trace(r.payload.data(), r.payload.size());
+      };
     } else {
       SweepFailure f;
       f.seed = e.seed;
@@ -429,6 +464,10 @@ std::vector<PreloadedRun> preload_from_scan(const JournalScan& scan,
     }
     out.push_back(std::move(p));
   }
+  std::sort(out.begin(), out.end(),
+            [](const PreloadedRun& a, const PreloadedRun& b) {
+              return a.cell != b.cell ? a.cell < b.cell : a.run < b.run;
+            });
   return out;
 }
 
@@ -442,19 +481,24 @@ SweepResult run_sweep(std::vector<SweepCell> cells, const SweepOptions& opts) {
   // --- crash-safe journaling ----------------------------------------------
   std::optional<JournalWriter> writer;
   std::mutex journal_mu;
+  // Stays open for the whole sweep: preloaded runs read their record back
+  // from it when delivery reaches them.
+  std::optional<JournalReader> reader;
   std::vector<PreloadedRun> preloaded;
   std::vector<char> is_preloaded;
   if (!opts.journal_path.empty()) {
     const std::uint64_t fp = sweep_fingerprint(cells, opts.runs);
-    if (auto scan = read_journal(opts.journal_path)) {
-      if (scan->meta.fingerprint != fp) {
+    reader = JournalReader::open(opts.journal_path);
+    if (reader) {
+      if (reader->meta().fingerprint != fp) {
         throw JournalMismatchError(
             "journal '" + opts.journal_path +
             "' was written for a different grid (fingerprint mismatch); "
             "refusing to resume — delete it or pass the original grid");
       }
-      preloaded = preload_from_scan(*scan, cells, opts.runs);
-      writer = JournalWriter::append_to(opts.journal_path, scan->valid_bytes,
+      preloaded = index_journal(*reader, cells, opts.runs);
+      writer = JournalWriter::append_to(opts.journal_path,
+                                        reader->valid_bytes(),
                                         opts.journal_sync);
     } else {
       JournalMeta meta;

@@ -21,9 +21,11 @@
 // on restart against the same grid, preload the journaled results instead
 // of re-running them — folding them through the same seed-order delivery
 // path, so a resumed sweep's ConditionResult is bit-identical to an
-// uninterrupted one.  A stop flag (SweepOptions::stop) drains gracefully:
-// in-flight jobs finish and are journaled, queued jobs stay queued, and
-// the partial result comes back marked interrupted.
+// uninterrupted one.  A resume indexes the journal first and reads each
+// record back only when its turn comes, so it holds one record at a time.
+// A stop flag (SweepOptions::stop) drains gracefully: in-flight jobs
+// finish and are journaled, queued jobs stay queued, and the partial
+// result comes back marked interrupted.
 //
 // Fault isolation: with SweepOptions::isolation = kForked each job runs in
 // a fork()ed child under per-job rlimits and a wall-clock deadline
@@ -248,12 +250,15 @@ struct SweepReport {
 };
 
 /// A previously-finished (cell, run) job fed back into the engine: either
-/// a successful trace (delivered through consume in seed order, exactly as
+/// a successful run (delivered through consume in seed order, exactly as
 /// if it had just run) or a recorded failure (re-reported, not re-run).
 struct PreloadedRun {
   std::size_t cell = 0;
   int run = 0;
-  std::optional<RunTrace> trace;        // success payload
+  /// Success: yields the trace when the run's turn in seed order comes, so
+  /// a run parked behind a lower seed still executing holds no trace.  A
+  /// throw becomes this job's recorded failure.
+  std::function<RunTrace()> load;
   std::optional<SweepFailure> failure;  // recorded failure (no re-run)
 };
 
@@ -264,12 +269,13 @@ struct PreloadedRun {
 /// arrive in seed order (failed runs produce no call but still advance the
 /// order), interleaved arbitrarily across cells.
 /// `preloaded` jobs are delivered first (on the calling thread, in the
-/// order given) and their slots never execute.  Every remaining job
-/// executes even when others fail — unless opts.stop flips, which drains
-/// the pool gracefully.  Failures come back sorted by (cell, seed) in the
-/// report.  Throws std::invalid_argument for runs <= 0, an invalid cell
-/// scenario, or an out-of-range/duplicate preloaded slot, before any
-/// worker spawns.
+/// order given; a run that must wait for a lower seed is loaded later, on
+/// the worker that delivers that seed) and their slots never execute.
+/// Every remaining job executes even when others fail — unless opts.stop
+/// flips, which drains the pool gracefully.  Failures come back sorted by
+/// (cell, seed) in the report.  Throws std::invalid_argument for runs <= 0,
+/// an invalid cell scenario, or an out-of-range/duplicate preloaded slot,
+/// before any worker spawns.
 [[nodiscard]] SweepReport sweep_jobs(
     const std::vector<SweepCell>& cells, const SweepOptions& opts,
     const std::function<void(std::size_t, int, RunTrace&&)>& consume,

@@ -1,5 +1,6 @@
 #include "svc/job_store.hpp"
 
+#include <dirent.h>
 #include <fcntl.h>
 #include <unistd.h>
 
@@ -9,6 +10,7 @@
 #include <cmath>
 #include <cstdlib>
 #include <cstring>
+#include <optional>
 #include <sstream>
 #include <utility>
 
@@ -495,21 +497,31 @@ std::vector<std::uint64_t> JobStore::recover() {
   // 2. Journal rescan: journals are the ground truth, so any job-<id>.jnl
   // the state log does not know about (log lost, or the crash beat the
   // append) is re-admitted with the spec recovered from its provenance
-  // note.
-  try {
-    for (const core::JournalFileInfo& info :
-         core::scan_journal_dir(dir_)) {
-      const std::uint64_t id = job_id_from_journal_path(info.path);
+  // note.  Only those journals are opened, and only their headers read, so
+  // a restart costs the same however long the journals grew.  A file
+  // without a complete, intact header is skipped: a directory that
+  // accumulated junk must still recover.  An unreadable directory leaves
+  // nothing to rescan; the state log (if any) already replayed.
+  const std::unique_ptr<DIR, int (*)(DIR*)> d(::opendir(dir_.c_str()),
+                                               ::closedir);
+  if (d != nullptr) {
+    while (const dirent* ent = ::readdir(d.get())) {
+      const std::string path = dir_ + "/" + ent->d_name;
+      const std::uint64_t id = job_id_from_journal_path(path);
       if (id == 0 || jobs_.count(id) != 0) continue;
+      std::optional<core::JournalReader> journal;
+      try {
+        journal = core::JournalReader::open(path);
+      } catch (const core::JournalError&) {
+        continue;  // foreign or corrupt header
+      }
+      if (!journal) continue;  // died mid-creation
       auto job = std::make_unique<Job>();
       job->id = id;
-      job->spec = parse_kv(info.meta.note);
+      job->spec = parse_kv(journal->meta().note);
       job->state = JobState::kQueued;
       jobs_.emplace(id, std::move(job));
     }
-  } catch (const core::JournalError&) {
-    // Directory unreadable: nothing to rescan; the state log (if any)
-    // already replayed.
   }
 
   // 3. Re-queue every non-terminal job oldest-first: an interrupted

@@ -31,7 +31,8 @@
 // record, keeping everything before it: the run journal's torn-tail rule.
 // A missing log or one with a bad tag or version (the old snapshot format
 // included) is ignored.  Recovery then rescans the directory for job
-// journals the log missed (the journal note re-derives the spec),
+// journals the log missed, reading only their headers (the journal note
+// re-derives the spec),
 // re-queues every non-terminal job, writes the compacted log once (tmp +
 // fsync + rename), and resumes each job from its journal.  A job whose
 // `finish` record was torn is still running in the log, so it is

@@ -7,6 +7,7 @@
 
 #include <cstdint>
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <string>
 #include <vector>
@@ -181,6 +182,109 @@ TEST(Journal, CorruptLastRecordIsTornButMidFileThrows) {
   // that is data corruption and must refuse, not silently drop.
   flip_byte(path, v1 - 6);
   EXPECT_THROW((void)read_journal(path), JournalError);
+  std::remove(path.c_str());
+}
+
+/// `src` cut to its first `bytes` bytes, as a crash would leave it.
+std::string truncated_copy(const std::string& src, std::uint64_t bytes) {
+  const std::string dst = src + ".cut";
+  std::filesystem::copy_file(src, dst,
+                             std::filesystem::copy_options::overwrite_existing);
+  std::filesystem::resize_file(dst, bytes);
+  return dst;
+}
+
+/// A journal of `k` ok records with distinct payload sizes; `starts`
+/// receives each record's file offset and the end of file, from the
+/// documented layout (header 36 bytes + note, record 38 bytes + payload).
+std::string journal_of(const std::string& name, int k,
+                       std::vector<std::uint64_t>& starts) {
+  const std::string path = tmp_journal(name);
+  JournalWriter w = JournalWriter::create(path, test_meta(), true);
+  starts = {36 + test_meta().note.size()};
+  for (int i = 0; i < k; ++i) {
+    JournalEntry e = ok_entry();
+    e.run = std::uint32_t(i);
+    e.payload.assign(std::size_t(20 + 7 * i), std::uint8_t(i + 1));
+    w.append(e);
+    starts.push_back(starts.back() + 38 + e.payload.size());
+  }
+  w.close();
+  EXPECT_EQ(std::filesystem::file_size(path), starts.back());
+  return path;
+}
+
+TEST(Journal, LastRecordCutAtEveryByteIsATornTail) {
+  constexpr int kRecords = 4;
+  std::vector<std::uint64_t> starts;
+  const std::string path = journal_of("cut_record.jnl", kRecords, starts);
+  const std::uint64_t last = starts[kRecords - 1];
+  for (std::uint64_t cut = last + 1; cut < starts[kRecords]; ++cut) {
+    SCOPED_TRACE("cut at byte " + std::to_string(cut));
+    const std::string cut_path = truncated_copy(path, cut);
+    const auto scan = read_journal(cut_path);
+    ASSERT_TRUE(scan.has_value());
+    EXPECT_TRUE(scan->torn_tail);
+    EXPECT_EQ(scan->valid_bytes, last);
+    ASSERT_EQ(scan->entries.size(), std::size_t(kRecords - 1));
+    for (int i = 0; i < kRecords - 1; ++i) {
+      EXPECT_EQ(scan->entries[std::size_t(i)].run, std::uint32_t(i));
+      EXPECT_EQ(scan->entries[std::size_t(i)].payload.size(),
+                std::size_t(20 + 7 * i));
+    }
+    std::remove(cut_path.c_str());
+  }
+  std::remove(path.c_str());
+}
+
+TEST(Journal, CorruptMiddleRecordThrows) {
+  std::vector<std::uint64_t> starts;
+  const std::string path = journal_of("corrupt_middle.jnl", 3, starts);
+  flip_byte(path, starts[1] + 40);  // inside the second record's payload
+  EXPECT_THROW((void)read_journal(path), JournalError);
+  std::optional<JournalReader> r = JournalReader::open(path);
+  ASSERT_TRUE(r.has_value());
+  JournalEntry e;
+  EXPECT_TRUE(r->next(e));
+  EXPECT_THROW((void)r->next(e), JournalError);
+  std::remove(path.c_str());
+}
+
+TEST(Journal, HeaderCutAtEveryByteMeansNoJournal) {
+  std::vector<std::uint64_t> starts;
+  const std::string path = journal_of("cut_header.jnl", 1, starts);
+  for (std::uint64_t cut = 0; cut < starts[0]; ++cut) {
+    SCOPED_TRACE("cut at byte " + std::to_string(cut));
+    const std::string cut_path = truncated_copy(path, cut);
+    EXPECT_FALSE(read_journal(cut_path).has_value());
+    EXPECT_FALSE(JournalReader::open(cut_path).has_value());
+    std::remove(cut_path.c_str());
+  }
+  std::remove(path.c_str());
+}
+
+TEST(Journal, ReaderReReadsARecordByOffsetAndRechecksItsCrc) {
+  std::vector<std::uint64_t> starts;
+  const std::string path = journal_of("reread.jnl", 3, starts);
+  std::optional<JournalReader> r = JournalReader::open(path);
+  ASSERT_TRUE(r.has_value());
+  EXPECT_EQ(r->meta().note, test_meta().note);
+  JournalEntry e;
+  std::vector<JournalEntry> seen;
+  for (std::size_t i = 0; r->next(e); ++i) {
+    EXPECT_EQ(r->record_offset(), starts[i]);
+    seen.push_back(e);
+  }
+  EXPECT_FALSE(r->torn_tail());
+  EXPECT_EQ(r->valid_bytes(), starts.back());
+  ASSERT_EQ(seen.size(), 3u);
+
+  JournalEntry again;
+  r->read_at(starts[1], again);
+  EXPECT_EQ(again.run, seen[1].run);
+  EXPECT_EQ(again.payload, seen[1].payload);
+  flip_byte(path, starts[1] + 40);
+  EXPECT_THROW(r->read_at(starts[1], again), JournalError);
   std::remove(path.c_str());
 }
 

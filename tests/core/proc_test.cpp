@@ -51,6 +51,20 @@ TEST(Proc, OkPayloadRoundTripsByteExact) {
   EXPECT_FALSE(r.timed_out);
 }
 
+TEST(Proc, EmptyAndMultiMegabytePayloadsArriveWhole) {
+  // The frame is read into one buffer sized from its header: the empty
+  // payload is header + CRC only, the large one spans many pipe reads.
+  for (const std::size_t size : {std::size_t(0), std::size_t(3) << 20}) {
+    std::vector<unsigned char> want(size);
+    for (std::size_t i = 0; i < want.size(); ++i) {
+      want[i] = (unsigned char)(i * 17 + 3);
+    }
+    const ChildResult r = run_forked([&want] { return want; }, {});
+    ASSERT_TRUE(r.ok) << "size " << size << ": " << r.message;
+    EXPECT_EQ(r.payload, want) << "size " << size;
+  }
+}
+
 TEST(Proc, ChildExceptionComesBackClassified) {
   const ChildResult r = run_forked(
       []() -> std::vector<unsigned char> {

@@ -1,17 +1,28 @@
 // Crash-recovery contract: a sweep interrupted at an arbitrary job
 // boundary — even with a torn trailing journal record — and then resumed
 // must produce ConditionResults bit-identical to an uninterrupted run, at
-// any thread count.
+// any thread count, while holding at most one journal record in memory.
 #include <gtest/gtest.h>
 
+#if defined(__GLIBC__)
+#include <malloc.h>
+#endif
+
+#include <algorithm>
 #include <atomic>
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
+#include <iterator>
+#include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/journal.hpp"
+#include "core/report.hpp"
 #include "core/sweep.hpp"
+#include "core/testbed.hpp"
 #include "sweep_test_util.hpp"
 
 namespace cgs::core {
@@ -190,6 +201,128 @@ TEST(Resume, JournaledFailuresAreRestoredWithoutReRunning) {
             std::string::npos);
   expect_results_equal(second.results[0], first.results[0]);
   std::remove(journal.c_str());
+}
+
+std::string file_bytes(const std::string& path) {
+  std::ifstream is(path, std::ios::binary);
+  return {std::istreambuf_iterator<char>(is), std::istreambuf_iterator<char>()};
+}
+
+/// Every CSV a sweep result writes, concatenated in a fixed order.
+std::string csv_bytes(const SweepResult& r, const std::string& prefix) {
+  const SweepCsvFiles f = write_sweep_csvs(prefix, r);
+  std::string bytes = file_bytes(f.cells_path) + file_bytes(f.links_path);
+  if (!f.fleet_path.empty()) bytes += file_bytes(f.fleet_path);
+  return bytes;
+}
+
+TEST(Resume, GappedJournalWithAFailureResumesToIdenticalCsvs) {
+  // A 4-thread journal with holes: runs missing below journaled ones park
+  // as journal references until the fresh run fills the gap, and the one
+  // journaled failure is re-reported, not re-run.
+  Scenario sick = quick_scenario(300);
+  sick.watchdog_event_budget = 10;
+  std::vector<SweepCell> cells = small_grid();
+  cells.push_back({"sick", sick});
+  SweepOptions opts;
+  opts.runs = 4;
+  opts.threads = 4;
+  opts.throw_on_failure = false;
+  const std::string want =
+      csv_bytes(run_sweep(cells, opts), tmp_journal("gap_ref"));
+
+  const std::string full = tmp_journal("gap_full.jnl");
+  opts.journal_path = full;
+  opts.journal_sync = false;
+  (void)run_sweep(cells, opts);
+  const auto scan = read_journal(full);
+  ASSERT_TRUE(scan.has_value());
+  ASSERT_EQ(scan->entries.size(), 12u);
+
+  // Keep a: 0,2,3 (gap at 1); b: 1,3 (gaps at 0 and 2); sick: 0 only.
+  const std::set<std::pair<std::uint32_t, std::uint32_t>> keep = {
+      {0, 0}, {0, 2}, {0, 3}, {1, 1}, {1, 3}, {2, 0}};
+  const std::string gapped = tmp_journal("gap.jnl");
+  {
+    JournalWriter w = JournalWriter::create(gapped, scan->meta, false);
+    for (const JournalEntry& e : scan->entries) {
+      if (keep.count({e.cell, e.run}) != 0) w.append(e);
+    }
+  }
+  std::remove(full.c_str());
+
+  for (const int threads : {1, 4}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    const std::string journal =
+        tmp_journal("gap_t" + std::to_string(threads) + ".jnl");
+    std::filesystem::copy_file(gapped, journal);
+    opts.threads = threads;
+    opts.journal_path = journal;
+    const SweepResult resumed = run_sweep(cells, opts);
+    EXPECT_EQ(resumed.report.skipped, int(keep.size()));
+    EXPECT_EQ(resumed.report.succeeded, 3);  // a1, b0, b2; sick 1-3 fail again
+    EXPECT_EQ(resumed.report.failed(), 4u);
+    EXPECT_EQ(csv_bytes(resumed,
+                        tmp_journal("gap_res" + std::to_string(threads))),
+              want);
+    std::remove(journal.c_str());
+  }
+  std::remove(gapped.c_str());
+}
+
+TEST(Resume, MemoryStaysWithinAFewRecordsOfTheJournal) {
+#if defined(__GLIBC__) && (__GLIBC__ > 2 || __GLIBC_MINOR__ >= 33)
+  if (mallinfo2().uordblks == 0) {
+    GTEST_SKIP() << "allocator reports no heap statistics (sanitizer build)";
+  }
+  // A synthetic journal of 64 ~0.5 MB records: one real trace padded with
+  // frame times past the end of the run, which no statistic reads.
+  constexpr int kRuns = 64;
+  const std::vector<SweepCell> cells = {{"big", quick_scenario(77)}};
+  const std::string journal = tmp_journal("bounded.jnl");
+  std::size_t payload_bytes = 0;
+  {
+    Testbed bed(cells[0].scenario);
+    RunTrace t = bed.run();
+    t.frame_times.resize(t.frame_times.size() + 64 * 1024, t.duration);
+    JournalMeta meta;
+    meta.fingerprint = sweep_fingerprint(cells, kRuns);
+    meta.runs = kRuns;
+    meta.cells = 1;
+    JournalWriter w = JournalWriter::create(journal, meta, false);
+    JournalEntry e;
+    e.ok = true;
+    e.trace_hash = trace_hash(t);
+    e.payload = serialize_trace(t);
+    payload_bytes = e.payload.size();
+    for (int run = 0; run < kRuns; ++run) {
+      e.run = std::uint32_t(run);
+      e.seed = cells[0].scenario.seed + std::uint64_t(run);
+      w.append(e);
+    }
+    w.close();
+  }
+
+  SweepOptions opts;
+  opts.runs = kRuns;
+  opts.threads = 1;
+  opts.journal_path = journal;
+  opts.journal_sync = false;
+  const std::size_t base = mallinfo2().uordblks;
+  std::size_t peak = base;
+  opts.progress = [&](int, int) {
+    peak = std::max<std::size_t>(peak, mallinfo2().uordblks);
+  };
+  const SweepResult r = run_sweep(cells, opts);
+  EXPECT_EQ(r.report.skipped, kRuns);
+  EXPECT_EQ(r.results[0].runs, kRuns);
+  EXPECT_LT(peak - base, 4 * payload_bytes)
+      << "resume held " << (peak - base) << " heap bytes for a journal of "
+      << kRuns << " records of " << payload_bytes << " bytes";
+  std::remove(journal.c_str());
+#else
+  GTEST_SKIP() << "needs glibc's mallinfo2";
+#endif
 }
 
 TEST(Resume, JournalHashesMatchTheGoldenHasher) {

@@ -340,7 +340,7 @@ TEST(Sweep, PreloadedRunsDeliverInSeedOrderWithoutReExecution) {
     PreloadedRun p;
     p.cell = 0;
     p.run = i;
-    p.trace = bed.run();
+    p.load = [t = bed.run()] { return t; };
     pre.push_back(std::move(p));
   }
   SweepOptions opts;
@@ -404,7 +404,7 @@ TEST(Sweep, SnapshotCountsAreConsistent) {
     PreloadedRun p;
     p.cell = 2;
     p.run = i;
-    p.trace = bed.run();
+    p.load = [t = bed.run()] { return t; };
     pre.push_back(std::move(p));
   }
 

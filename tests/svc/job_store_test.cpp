@@ -287,6 +287,30 @@ TEST(Svc, JournalRescanReadmitsJobsTheStateFileMissed) {
   EXPECT_EQ(store.submit(smoke_spec()).id, 8u);
 }
 
+TEST(Svc, JournalRescanSkipsFilesWithoutAnIntactHeader) {
+  // The rescan reads headers only: a foreign file and one cut inside its
+  // header are skipped, a journal with an intact header is re-admitted.
+  const std::string dir = tmp_dir("rescan_junk");
+  core::JournalMeta meta;
+  meta.runs = 1;
+  meta.cells = 1;
+  meta.note = encode_kv(smoke_spec("5"));
+  { auto w = core::JournalWriter::create(dir + "/job-7.jnl", meta, true); }
+  {
+    std::ofstream junk(dir + "/job-2.jnl", std::ios::binary);
+    junk << "this file is not a sweep journal, whatever its name says";
+  }
+  {
+    std::ofstream cut(dir + "/job-3.jnl", std::ios::binary);
+    cut << "CGSJ";
+  }
+
+  JobStore store(dir, 8);
+  (void)store.recover();
+  EXPECT_EQ(store.queued_count(), 1u);
+  EXPECT_EQ(store.claim_next(), 7u);
+}
+
 TEST(Svc, InlineSpecBuildsOneValidatedCell) {
   KvMap spec;
   spec["system"] = "luna";
